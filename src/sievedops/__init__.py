@@ -7,14 +7,12 @@ first-kind family.
 """
 
 from .chebyshev import ChebKind, identity_residual, t_hat, u_hat
-from .kernels import BACKEND
 from .polycore import Poly, rat_from_str, rat_to_str
 from .recurrence import SievedFamily, SievedKind, classical_sieved, sieved_monic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "ChebKind",
     "Poly",
     "SievedFamily",

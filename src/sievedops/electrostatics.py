@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
-from .numerics import interval_counts, partition_points, zeros
+from .numerics import float_coeffs, interval_counts, partition_points, zeros
 from .recurrence import SievedFamily, SievedKind
 
 
@@ -228,7 +229,6 @@ def partial_fraction_rhs(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
 
 def verify_theorem(sys: ChargeSystem, seed: int = 0x5EED) -> dict:
     """All equilibrium checks for one system; see the keys of the result."""
-    from .polycore import Poly
     from .recurrence import sieved_monic
     from .semiclassical import pearson_data
 
@@ -244,9 +244,8 @@ def verify_theorem(sys: ChargeSystem, seed: int = 0x5EED) -> dict:
     report["grad_ok"] = report["grad_at_zeros"] < 1e-9
 
     # (b) stationarity identity p''/p' = partial-fraction sum at each zero
-    p = sieved_monic(fam, sys.n).as_float()
-    dp, ddp = p.derivative(), p.derivative().derivative()
-    ratio = np.array([ddp.evaluate(float(x)) / dp.evaluate(float(x)) for x in xz])
+    dc = polyder(float_coeffs(sieved_monic(fam, sys.n)))
+    ratio = polyval(xz, polyder(dc)) / polyval(xz, dc)
     report["stationarity_resid"] = float(
         np.max(np.abs(ratio - partial_fraction_rhs(sys, xz)))
     )
@@ -264,7 +263,7 @@ def verify_theorem(sys: ChargeSystem, seed: int = 0x5EED) -> dict:
 
     # (e) partial-fraction form of Psi/Phi at random non-singular points
     pd = pearson_data(fam)
-    phi_f, psi_f = pd.phi.as_float(), pd.psi.as_float()
+    phi_c, psi_c = float_coeffs(pd.phi), float_coeffs(pd.psi)
     rng = np.random.default_rng(seed)
     lam = float(fam.lam)
     worst = 0.0
@@ -274,7 +273,7 @@ def verify_theorem(sys: ChargeSystem, seed: int = 0x5EED) -> dict:
         t = float(rng.uniform(-1.0, 1.0))
         if np.min(np.abs(pts - t)) < 1e-2:
             continue
-        lhs = psi_f.evaluate(t) / phi_f.evaluate(t)
+        lhs = float(polyval(t, psi_c) / polyval(t, phi_c))
         rhs = (2 * lam + 1) / 2 * (1.0 / (t - 1.0) + 1.0 / (t + 1.0)) + (
             2 * lam + 1
         ) * float(np.sum(1.0 / (t - sys.interior_points)))

@@ -1,5 +1,7 @@
 """Floating-point zeros, weight functions, and quadrature orthogonality.
 
+This is the one place exact polynomials become floats: float_coeffs gives
+the binary64 coefficient array that np.polynomial.polynomial evaluates.
 Everything here assumes the positive-definite range lam > -1/2, where the
 flattened recurrence coefficients are positive and the zeros are the
 eigenvalues of a symmetric tridiagonal Jacobi matrix.
@@ -12,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 from scipy.linalg import eigh_tridiagonal
 
+from .polycore import Poly
 from .recurrence import SievedFamily, SievedKind, gamma_flat, sieved_monic
 
 
@@ -40,6 +44,14 @@ class ZeroSet:
     n: int
 
 
+def float_coeffs(p: Poly) -> np.ndarray:
+    """Ascending coefficients of p rounded to binary64, for polyval/polyder.
+
+    The zero polynomial gives [0.0], so polyval still returns zero.
+    """
+    return np.array([float(c) for c in p.coeffs] or [0.0])
+
+
 def _require_positive_definite(fam: SievedFamily):
     if fam.lam <= Fraction(-1, 2):
         raise UnsupportedRangeError(
@@ -61,8 +73,7 @@ def zeros(fam: SievedFamily, n: int) -> ZeroSet:
 
 def zero_residuals(z: ZeroSet) -> np.ndarray:
     """|p_n(x)| / (|p_n'(x)| * local spacing) at each computed zero."""
-    p = sieved_monic(z.family, z.n).as_float()
-    dp = p.derivative()
+    c = float_coeffs(sieved_monic(z.family, z.n))
     vals = z.values
     spacing = np.empty_like(vals)
     if len(vals) > 1:
@@ -72,10 +83,7 @@ def zero_residuals(z: ZeroSet) -> np.ndarray:
         spacing[1:] = np.minimum(spacing[1:], gaps)
     else:
         spacing[:] = 1.0
-    out = np.empty_like(vals)
-    for i, x in enumerate(vals):
-        out[i] = abs(p.evaluate(float(x))) / (abs(dp.evaluate(float(x))) * spacing[i])
-    return out
+    return np.abs(polyval(vals, c)) / (np.abs(polyval(vals, polyder(c))) * spacing)
 
 
 def chebyshev_u_float(k: int, x: float) -> float:
@@ -141,19 +149,15 @@ def orthogonality_defect(
     _require_positive_definite(fam)
     if m == n:
         return 1.0
-    pm = sieved_monic(fam, m).as_float()
-    pn = sieved_monic(fam, n).as_float()
-
-    def ev(p):
-        c = np.array(p.coeffs, dtype=float)
-        return lambda x: np.polynomial.polynomial.polyval(x, c)
-
-    fm, fn = ev(pm), ev(pn)
+    cm = float_coeffs(sieved_monic(fam, m))
+    cn = float_coeffs(sieved_monic(fam, n))
 
     def defect(panels):
-        cross = _integrate_theta(fam, lambda x: fm(x) * fn(x), panels, nodes)
-        mm = _integrate_theta(fam, lambda x: fm(x) ** 2, panels, nodes)
-        nn = _integrate_theta(fam, lambda x: fn(x) ** 2, panels, nodes)
+        cross = _integrate_theta(
+            fam, lambda x: polyval(x, cm) * polyval(x, cn), panels, nodes
+        )
+        mm = _integrate_theta(fam, lambda x: polyval(x, cm) ** 2, panels, nodes)
+        nn = _integrate_theta(fam, lambda x: polyval(x, cn) ** 2, panels, nodes)
         return abs(cross) / math.sqrt(mm * nn)
 
     d = defect(panels_per_arc)

@@ -1,12 +1,12 @@
-"""Dense univariate polynomials over exact rationals or 64-bit floats.
+"""Dense univariate polynomials over exact rationals.
 
-The exact mode (Fraction coefficients) is the source of truth for every
-identity check in this package; the float mode exists only for the numeric
-modules.  Coefficients are stored ascending, with trailing zeros trimmed,
-so the zero polynomial is the empty tuple.
+Fraction coefficients are the source of truth for every identity check in
+this package; float evaluation lives in numerics.  Coefficients are stored
+ascending, with trailing zeros trimmed, so the zero polynomial is the empty
+tuple.
 
-Exact products clear denominators to a single big-int convolution (see
-kernels), which is what makes degree-100+ rational arithmetic affordable.
+Products clear denominators to a single big-int convolution, which is what
+makes degree-100+ rational arithmetic affordable.
 """
 
 from __future__ import annotations
@@ -14,17 +14,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-from . import kernels
-
-Scalar = Union[Fraction, float]
-
-EXACT = "exact"
-FLOAT = "float"
-
-
-class KindMismatchError(TypeError):
-    """Raised when exact and float polynomials are mixed in one operation."""
 
 
 class NotDivisibleError(ArithmeticError):
@@ -43,45 +32,43 @@ def rat_from_str(s: str) -> Fraction:
 
 
 class Poly:
-    """Immutable dense polynomial.  Use Poly.exact / Poly.inexact to build."""
+    """Immutable dense polynomial with Fraction coefficients.
 
-    __slots__ = ("coeffs", "kind")
+    Use Poly.exact to build from ints, Fractions or 'p/q' strings.
+    """
 
-    def __init__(self, coeffs: Sequence[Scalar], kind: str):
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Sequence[Fraction]):
         # trim trailing zeros; zero polynomial is the empty tuple
         n = len(coeffs)
         while n > 0 and coeffs[n - 1] == 0:
             n -= 1
         object.__setattr__(self, "coeffs", tuple(coeffs[:n]))
-        object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
     def exact(cls, coeffs: Iterable[Union[int, Fraction, str]]) -> "Poly":
-        return cls([Fraction(c) for c in coeffs], EXACT)
+        return cls([Fraction(c) for c in coeffs])
 
     @classmethod
-    def inexact(cls, coeffs: Iterable[float]) -> "Poly":
-        return cls([float(c) for c in coeffs], FLOAT)
+    def zero(cls) -> "Poly":
+        return cls([])
 
     @classmethod
-    def zero(cls, kind: str = EXACT) -> "Poly":
-        return cls([], kind)
+    def one(cls) -> "Poly":
+        return cls.exact([1])
 
     @classmethod
-    def one(cls, kind: str = EXACT) -> "Poly":
-        return cls.exact([1]) if kind == EXACT else cls.inexact([1.0])
+    def x(cls) -> "Poly":
+        return cls.exact([0, 1])
 
     @classmethod
-    def x(cls, kind: str = EXACT) -> "Poly":
-        return cls.exact([0, 1]) if kind == EXACT else cls.inexact([0.0, 1.0])
-
-    @classmethod
-    def constant(cls, c: Union[int, Fraction, float]) -> "Poly":
+    def constant(cls, c: Union[int, Fraction]) -> "Poly":
         if isinstance(c, float):
-            return cls.inexact([c])
+            raise TypeError("float constant for exact polynomial")
         return cls.exact([c])
 
     # -- basic queries ----------------------------------------------------
@@ -94,105 +81,81 @@ class Poly:
         """Degree as an int, or -inf for the zero polynomial."""
         return len(self.coeffs) - 1 if self.coeffs else -math.inf
 
-    def leading(self) -> Scalar:
+    def leading(self) -> Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.kind == other.kind
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, Poly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.kind, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)!r}, kind={self.kind!r})"
-
-    def _check(self, other: "Poly"):
-        if self.kind != other.kind:
-            raise KindMismatchError(
-                f"cannot mix {self.kind} and {other.kind} polynomials"
-            )
+        return f"Poly({list(self.coeffs)!r})"
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(out, self.kind)
+        return Poly(out)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs], self.kind)
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
-    def scale(self, c: Union[int, Fraction, float]) -> "Poly":
-        if self.kind == EXACT:
-            if isinstance(c, float):
-                raise KindMismatchError("float scalar on exact polynomial")
-            c = Fraction(c)
-        else:
-            c = float(c)
-        return Poly([c * a for a in self.coeffs], self.kind)
+    def scale(self, c: Union[int, Fraction]) -> "Poly":
+        if isinstance(c, float):
+            raise TypeError("float scalar on exact polynomial")
+        c = Fraction(c)
+        return Poly([c * a for a in self.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check(other)
         if self.is_zero() or other.is_zero():
-            return Poly.zero(self.kind)
-        if self.kind == FLOAT:
-            out = kernels.convolve(list(self.coeffs), list(other.coeffs))
-            return Poly(out, FLOAT)
-        return Poly(_mul_exact(self.coeffs, other.coeffs), EXACT)
+            return Poly.zero()
+        return Poly(_mul_exact(self.coeffs, other.coeffs))
 
     # -- calculus and composition ----------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(
-            [i * c for i, c in enumerate(self.coeffs)][1:], self.kind
-        )
+        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def evaluate(self, x: Scalar) -> Scalar:
-        if not self.coeffs:
-            return Fraction(0) if self.kind == EXACT else 0.0
-        return kernels.horner(list(self.coeffs), x)
+    def evaluate(self, x: Fraction) -> Fraction:
+        """Exact value at x by Horner's rule."""
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def compose(self, g: "Poly") -> "Poly":
         """f(g(x)) by Horner over polynomials."""
-        self._check(g)
-        acc = Poly.zero(self.kind)
+        acc = Poly.zero()
         for c in reversed(self.coeffs):
             acc = acc * g + Poly.constant(c)
         return acc
 
-    def compose_linear(self, c: Union[int, Fraction, float]) -> "Poly":
+    def compose_linear(self, c: Union[int, Fraction]) -> "Poly":
         """f(c*x): cheap special case of compose."""
         out = []
-        p = Fraction(1) if self.kind == EXACT else 1.0
+        p = Fraction(1)
         for a in self.coeffs:
             out.append(a * p)
             p = p * c
-        return Poly(out, self.kind)
-
-    def as_float(self) -> "Poly":
-        return Poly.inexact([float(c) for c in self.coeffs])
+        return Poly(out)
 
     # -- serialization ----------------------------------------------------
 
     def to_strings(self) -> list:
-        """JSON-ready ascending coefficient list ('p/q' strings or floats)."""
-        if self.kind == EXACT:
-            return [rat_to_str(c) for c in self.coeffs]
-        return [float(c) for c in self.coeffs]
+        """JSON-ready ascending coefficient list of 'p/q' strings."""
+        return [rat_to_str(c) for c in self.coeffs]
 
     @classmethod
     def from_strings(cls, items: Iterable[str]) -> "Poly":
@@ -204,9 +167,22 @@ def _mul_exact(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
     db = math.lcm(*(c.denominator for c in b))
     ia = [int(c * da) for c in a]
     ib = [int(c * db) for c in b]
-    conv = kernels.convolve(ia, ib)
     den = da * db
-    return [Fraction(c, den) for c in conv]
+    return [Fraction(c, den) for c in _convolve(ia, ib)]
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
+    """Schoolbook product of two nonempty ascending int coefficient lists."""
+    la = len(a)
+    lb = len(b)
+    out = [0] * (la + lb - 1)
+    for i in range(la):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(lb):
+            out[i + j] += ai * b[j]
+    return out
 
 
 def wronskian(f: Poly, g: Poly) -> Poly:
@@ -215,11 +191,9 @@ def wronskian(f: Poly, g: Poly) -> Poly:
 
 
 def divmod_poly(f: Poly, g: Poly):
-    """Euclidean division: f = q*g + r with deg r < deg g.  Exact mode only."""
+    """Euclidean division: f = q*g + r with deg r < deg g."""
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.kind != EXACT or g.kind != EXACT:
-        raise KindMismatchError("polynomial division requires exact mode")
     r = list(f.coeffs)
     gc = g.coeffs
     dg = len(gc) - 1
@@ -231,7 +205,7 @@ def divmod_poly(f: Poly, g: Poly):
             q[i] = c
             for j, gj in enumerate(gc):
                 r[i + j] -= c * gj
-    return Poly(q, EXACT), Poly(r, EXACT)
+    return Poly(q), Poly(r)
 
 
 def divide_exact(f: Poly, g: Poly) -> Poly:
@@ -243,7 +217,7 @@ def divide_exact(f: Poly, g: Poly) -> Poly:
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm (exact mode)."""
+    """Monic gcd via the Euclidean algorithm."""
     a, b = f, g
     while not b.is_zero():
         a, b = b, divmod_poly(a, b)[1]

@@ -1,7 +1,6 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -130,6 +129,24 @@ def test_emit_plot_requires_selection():
     assert main(["emit-plot"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--poly", "third:1/2:3:4"],
+        ["--poly", "first:1/2:3:4", "--samples", "1"],
+        ["--poly", "first:1/2:3:4", "--samples", "0"],
+        ["--figure2", "--samples", "1"],
+    ],
+)
+def test_emit_plot_rejects_bad_input(args, tmp_path, capsys):
+    rc = main(["emit-plot", "--outdir", str(tmp_path), *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error" in json.loads(captured.err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_file_flag(tmp_path, capsys):
     path = tmp_path / "r.json"
     rc = main(["class", "--kind", "first", "--lambda", "0", "--k", "4",
@@ -158,31 +175,3 @@ def test_determinism_byte_identical():
     _, out1, _ = run_cli(args)
     _, out2, _ = run_cli(args)
     assert out1 == out2 and out1
-
-
-def test_threaded_grid_same_output():
-    args = ["verify-mapping", "--kind", "second", "--lambda", "1/2",
-            "--k", "4", "--max-n", "12"]
-    _, serial, _ = run_cli(args)
-    env = dict(os.environ, SIEVED_OPS_THREADS="4")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sievedops.cli", *args],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.stdout == serial
-
-
-def test_pure_python_backend_same_result():
-    env = dict(os.environ, SIEVED_OPS_PURE_PYTHON="1")
-    args = ["gen-poly", "--kind", "first", "--lambda", "3/2", "--k", "5",
-            "--n", "10", "--normalization", "classical"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "sievedops.cli", *args],
-        capture_output=True, text=True, env=env,
-    )
-    assert json.loads(proc.stdout)["coefficients"] == CLASSICAL_C10
-    check = subprocess.run(
-        [sys.executable, "-c", "from sievedops import BACKEND; print(BACKEND)"],
-        capture_output=True, text=True, env=env,
-    )
-    assert check.stdout.strip() == "python"

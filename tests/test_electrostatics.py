@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from sievedops.electrostatics import (
     ChargeSystem,
@@ -22,7 +23,7 @@ from sievedops.electrostatics import (
     theorem_zero_set,
     verify_theorem,
 )
-from sievedops.numerics import zeros
+from sievedops.numerics import float_coeffs, zeros
 from sievedops.recurrence import SievedFamily, SievedKind
 
 SYS = ChargeSystem(k=5, l=2, q=1.0)
@@ -177,8 +178,8 @@ def test_psi_phi_mn_identity():
     fam = SievedFamily(SievedKind.FIRST, sys_.lam, 4)
     pd = pearson_data(fam)
     sp = structure_pair(fam, sys_.n)
-    m_f, dm_f = sp.m.as_float(), sp.m.derivative().as_float()
-    phi_f, psi_f = pd.phi.as_float(), pd.psi.as_float()
+    m_c, dm_c = float_coeffs(sp.m), float_coeffs(sp.m.derivative())
+    phi_c, psi_c = float_coeffs(pd.phi), float_coeffs(pd.psi)
     rng = np.random.default_rng(0x5EED)
     pts = sys_.partition
     checked = 0
@@ -187,7 +188,7 @@ def test_psi_phi_mn_identity():
         if np.min(np.abs(pts - t)) < 5e-2:
             continue
         checked += 1
-        lhs = dm_f.evaluate(t) / m_f.evaluate(t) - psi_f.evaluate(t) / phi_f.evaluate(t)
+        lhs = polyval(t, dm_c) / polyval(t, m_c) - polyval(t, psi_c) / polyval(t, phi_c)
         rhs = float(partial_fraction_rhs(sys_, np.array([t]))[0])
         assert abs(lhs - rhs) < 1e-10
 

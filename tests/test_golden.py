@@ -1,0 +1,59 @@
+"""Golden CLI outputs, pinned byte for byte.
+
+The float CSV values come from evaluating the exact polynomial in binary64;
+any change to how that evaluation is done shows up here.
+"""
+
+from sievedops.cli import main
+
+EMIT_PLOT_C10 = """\
+x,y
+-1.1,26.75673923200008
+-0.8800000000000001,0.5217132273849794
+-0.66,-0.001145471461132197
+-0.44000000000000006,0.47235336418565765
+-0.21999999999999997,0.7519208546700524
+0.0,-0.25
+0.21999999999999997,0.7519208546700524
+0.44000000000000017,0.47235336418565665
+0.6600000000000001,-0.0011454714611305317
+0.8799999999999999,0.5217132273850285
+1.1,26.75673923200008
+"""
+
+VERIFY_STRUCTURE_FIRST_K4 = """\
+{
+  "closed_form_matches_recursion": true,
+  "command": "verify-structure",
+  "k": 4,
+  "kind": "first",
+  "lambda": "3/2",
+  "max_n": 9,
+  "residuals": {
+    "0": "zero",
+    "1": "zero",
+    "2": "zero",
+    "3": "zero",
+    "4": "zero",
+    "5": "zero",
+    "6": "zero",
+    "7": "zero",
+    "8": "zero",
+    "9": "zero"
+  },
+  "schema": 1
+}
+"""
+
+
+def test_emit_plot_poly_golden(capsys):
+    rc = main(["emit-plot", "--poly", "first:3/2:5:10", "--samples", "11"])
+    assert rc == 0
+    assert capsys.readouterr().out == EMIT_PLOT_C10
+
+
+def test_verify_structure_golden(capsys):
+    rc = main(["verify-structure", "--kind", "first", "--lambda", "3/2",
+               "--k", "4", "--max-n", "9"])
+    assert rc == 0
+    assert capsys.readouterr().out == VERIFY_STRUCTURE_FIRST_K4
