@@ -8,6 +8,7 @@ coefficient residuals, never as sampled values.
 from __future__ import annotations
 
 import enum
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,33 +23,41 @@ class ChebKind(enum.Enum):
     SECOND = "second"
 
 
-@lru_cache(maxsize=None)
+# append-only tables: entry n is T_hat(n) (resp. U_hat(n)), made from the two
+# entries before it, so each degree costs one product whatever the call order;
+# growth holds the lock, since two threads appending at once would misplace
+# every later degree
+_T_TABLE = [Poly.one(), Poly.x()]
+_U_TABLE = [Poly.one(), Poly.x()]
+_GROW_LOCK = threading.Lock()
+
+
 def t_hat(n: int) -> Poly:
     """Monic Chebyshev polynomial of the first kind, n >= 0."""
     if n < 0:
         raise ValueError(f"first-kind index must be >= 0, got {n}")
-    return _monic_recurrence(n, gamma1=HALF)
+    return _grow(_T_TABLE, n, gamma1=HALF)
 
 
-@lru_cache(maxsize=None)
 def u_hat(n: int) -> Poly:
     """Monic Chebyshev polynomial of the second kind, n >= -1 (U_hat(-1) = 0)."""
     if n < -1:
         raise ValueError(f"second-kind index must be >= -1, got {n}")
     if n == -1:
         return Poly.zero()
-    return _monic_recurrence(n, gamma1=QUARTER)
+    return _grow(_U_TABLE, n, gamma1=QUARTER)
 
 
-def _monic_recurrence(n: int, gamma1: Fraction) -> Poly:
-    prev, cur = Poly.one(), Poly.x()
-    if n == 0:
-        return prev
-    x = Poly.x()
-    for i in range(1, n):
-        gamma = gamma1 if i == 1 else QUARTER
-        prev, cur = cur, x * cur - prev.scale(gamma)
-    return cur
+def _grow(table: list, n: int, gamma1: Fraction) -> Poly:
+    """table[n], first extending table by p_{i+1} = x p_i - gamma_i p_{i-1}."""
+    if n >= len(table):
+        x = Poly.x()
+        with _GROW_LOCK:
+            while len(table) <= n:
+                i = len(table) - 1
+                gamma = gamma1 if i == 1 else QUARTER
+                table.append(x * table[i] - table[i - 1].scale(gamma))
+    return table[n]
 
 
 def monic_chebyshev(kind: ChebKind, n: int) -> Poly:

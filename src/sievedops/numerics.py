@@ -47,9 +47,12 @@ class ZeroSet:
 def float_coeffs(p: Poly) -> np.ndarray:
     """Ascending coefficients of p rounded to binary64, for polyval/polyder.
 
+    Each entry is numerator / denominator, an int true division, which is
+    correctly rounded and so equals float() of the Fraction coefficient.
     The zero polynomial gives [0.0], so polyval still returns zero.
     """
-    return np.array([float(c) for c in p.coeffs] or [0.0])
+    den = p.denominator
+    return np.array([c / den for c in p.numerators] or [0.0])
 
 
 def _require_positive_definite(fam: SievedFamily):

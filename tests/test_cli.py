@@ -1,12 +1,19 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sievedops
 from sievedops.cli import main
+
+# the child interpreter imports the same sievedops as this one, also when it
+# comes from the source tree rather than an install
+SRC_DIR = str(Path(sievedops.__file__).resolve().parents[1])
 
 CLASSICAL_C10 = [
     "-1/4", "0", "125/4", "0", "-250", "0", "700", "0", "-800", "0", "320",
@@ -14,10 +21,12 @@ CLASSICAL_C10 = [
 
 
 def run_cli(args):
+    path = [SRC_DIR, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "sievedops.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: ring laws, calculus, division, serialization."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,19 @@ rationals = st.builds(
     F, st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=8)
 )
 polys = st.lists(rationals, max_size=6).map(Poly.exact)
+
+# numerators and denominators past 2**1100, where a float would overflow
+huge = st.integers(min_value=2**1100, max_value=2**1200)
+huge_rationals = st.builds(
+    F, st.one_of(huge, huge.map(lambda v: -v), st.integers(-50, 50)),
+    st.one_of(huge, st.integers(1, 8)),
+)
+wide_rationals = st.one_of(rationals, huge_rationals)
+wide_lists = st.lists(wide_rationals, max_size=5)
+# huge over huge, so every coefficient is finite as a float
+float_sized = st.one_of(
+    rationals, st.builds(F, st.one_of(huge, huge.map(lambda v: -v)), huge)
+)
 
 
 def test_trailing_zeros_trimmed():
@@ -55,6 +69,17 @@ def test_float_scalar_raises():
         Poly.exact([1, 1]).scale(0.5)
     with pytest.raises(TypeError):
         Poly.constant(0.5)
+
+
+def test_float_coefficient_raises():
+    with pytest.raises(TypeError):
+        Poly.exact([0.1])
+    with pytest.raises(TypeError):
+        Poly([1, 0.5])
+    with pytest.raises(TypeError):
+        Poly.x().evaluate(0.5)
+    with pytest.raises(TypeError):
+        Poly.x().compose_linear(0.5)
 
 
 def test_evaluate_zero_poly():
@@ -173,3 +198,91 @@ def test_immutability():
     p = Poly.exact([1, 2])
     with pytest.raises(AttributeError):
         p.coeffs = ()
+    with pytest.raises(AttributeError):
+        p.numerators = ()
+
+
+# -- the integer representation against a Fraction-list reference ----------
+
+
+def _ref_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+def _ref_add(a, b, sign=1):
+    n = max(len(a), len(b))
+    a = list(a) + [F(0)] * (n - len(a))
+    b = list(b) + [F(0)] * (n - len(b))
+    return _ref_trim(x + sign * y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_compose(a, b):
+    acc = ()
+    for c in reversed(a):
+        acc = _ref_add(_ref_mul(acc, b), (c,))
+    return acc
+
+
+def _assert_canonical(p):
+    nums, den = p.numerators, p.denominator
+    assert type(den) is int and den > 0
+    assert all(type(c) is int for c in nums)
+    assert not nums or nums[-1] != 0
+    assert math.gcd(den, *nums) == 1
+    if not nums:
+        assert den == 1
+
+
+@given(wide_lists, wide_lists, wide_rationals, wide_rationals)
+@settings(max_examples=80, deadline=None)
+def test_ops_match_fraction_reference(a, b, c, x):
+    f, g = Poly.exact(a), Poly.exact(b)
+    a, b = _ref_trim(a), _ref_trim(b)
+    assert f.coeffs == a
+    cases = [
+        (f + g, _ref_add(a, b)),
+        (f - g, _ref_add(a, b, -1)),
+        (-f, _ref_trim(-v for v in a)),
+        (f * g, _ref_mul(a, b)),
+        (f.scale(c), _ref_trim(c * v for v in a)),
+        (f.derivative(), _ref_trim(i * v for i, v in enumerate(a))[1:]),
+        (f.compose(g), _ref_compose(a, b)),
+        (f.compose_linear(c), _ref_trim(v * c**i for i, v in enumerate(a))),
+    ]
+    for p, ref in cases:
+        _assert_canonical(p)
+        assert p.coeffs == ref
+    assert f.evaluate(x) == sum((v * x**i for i, v in enumerate(a)), F(0))
+
+
+@given(wide_lists, wide_lists, st.integers(1, 2**70))
+@settings(max_examples=60, deadline=None)
+def test_equal_values_equal_hashes(a, b, k):
+    f, g = Poly.exact(a), Poly.exact(b)
+    # the same values written over an unreduced common denominator
+    same = Poly.from_strings(f"{v.numerator * k}/{v.denominator * k}" for v in a)
+    for p, q in [(same, f), ((f + g) - g, f), (f * g, g * f), (f - f, Poly.zero())]:
+        _assert_canonical(p)
+        assert p == q
+        assert hash(p) == hash(q)
+
+
+@given(st.lists(float_sized, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_float_coeffs_bit_identical(a):
+    p = Poly.exact(a)
+    got = [v.hex() for v in float_coeffs(p)]
+    assert got == ([float(c).hex() for c in p.coeffs] or [(0.0).hex()])
