@@ -8,9 +8,9 @@ coefficient residuals, never as sampled values.
 from __future__ import annotations
 
 import enum
+import functools
 import threading
 from fractions import Fraction
-from functools import lru_cache
 
 from .polycore import Poly
 
@@ -23,20 +23,70 @@ class ChebKind(enum.Enum):
     SECOND = "second"
 
 
+# bound of every per-family (or per-lambda) table cache and of pearson_data
+TABLE_CACHE_SIZE = 64
+
+# growth of every table holds this lock, since two threads appending at once
+# would misplace every later degree; it is reentrant because work done under
+# it may reach another table (a new structure-pair table starts from the
+# Pearson data, built from t_hat and u_hat)
+_GROW_LOCK = threading.RLock()
+
+
+def grow(table: list, n: int, step):
+    """table[n], first appending step(table) until table has n + 1 entries.
+
+    A step computes the next entry from the entries before it and returns
+    it; it is appended only then, so a step that raises leaves the table as
+    it was.
+    """
+    if n >= len(table):
+        with _GROW_LOCK:
+            while len(table) <= n:
+                table.append(step(table))
+    return table[n]
+
+
+def table_cache(factory):
+    """Bounded cache of append-only tables: factory(key) makes the table of key.
+
+    A miss is filled under the growth lock, so threads that ask for a new
+    key at once all get the one table that the cache keeps.
+    """
+    cached = functools.lru_cache(maxsize=TABLE_CACHE_SIZE)(factory)
+
+    @functools.wraps(factory)
+    def table(key) -> list:
+        with _GROW_LOCK:
+            return cached(key)
+
+    table.cache_info = cached.cache_info
+    return table
+
+
+def three_term_step(gamma):
+    """Step for the monic recurrence p_{i+1} = x p_i - gamma(i) p_{i-1}."""
+
+    def step(table: list) -> Poly:
+        i = len(table) - 1
+        return Poly.x() * table[i] - table[i - 1].scale(gamma(i))
+
+    return step
+
+
 # append-only tables: entry n is T_hat(n) (resp. U_hat(n)), made from the two
-# entries before it, so each degree costs one product whatever the call order;
-# growth holds the lock, since two threads appending at once would misplace
-# every later degree
+# entries before it, so each degree costs one product whatever the call order
 _T_TABLE = [Poly.one(), Poly.x()]
 _U_TABLE = [Poly.one(), Poly.x()]
-_GROW_LOCK = threading.Lock()
+_T_STEP = three_term_step(lambda i: HALF if i == 1 else QUARTER)
+_U_STEP = three_term_step(lambda i: QUARTER)
 
 
 def t_hat(n: int) -> Poly:
     """Monic Chebyshev polynomial of the first kind, n >= 0."""
     if n < 0:
         raise ValueError(f"first-kind index must be >= 0, got {n}")
-    return _grow(_T_TABLE, n, gamma1=HALF)
+    return grow(_T_TABLE, n, _T_STEP)
 
 
 def u_hat(n: int) -> Poly:
@@ -45,26 +95,13 @@ def u_hat(n: int) -> Poly:
         raise ValueError(f"second-kind index must be >= -1, got {n}")
     if n == -1:
         return Poly.zero()
-    return _grow(_U_TABLE, n, gamma1=QUARTER)
-
-
-def _grow(table: list, n: int, gamma1: Fraction) -> Poly:
-    """table[n], first extending table by p_{i+1} = x p_i - gamma_i p_{i-1}."""
-    if n >= len(table):
-        x = Poly.x()
-        with _GROW_LOCK:
-            while len(table) <= n:
-                i = len(table) - 1
-                gamma = gamma1 if i == 1 else QUARTER
-                table.append(x * table[i] - table[i - 1].scale(gamma))
-    return table[n]
+    return grow(_U_TABLE, n, _U_STEP)
 
 
 def monic_chebyshev(kind: ChebKind, n: int) -> Poly:
     return t_hat(n) if kind == ChebKind.FIRST else u_hat(n)
 
 
-@lru_cache(maxsize=None)
 def chebyshev_t(n: int) -> Poly:
     """Classical (non-monic) T_n."""
     if n == 0:
@@ -72,7 +109,6 @@ def chebyshev_t(n: int) -> Poly:
     return t_hat(n).scale(Fraction(2) ** (n - 1))
 
 
-@lru_cache(maxsize=None)
 def chebyshev_u(n: int) -> Poly:
     """Classical (non-monic) U_n, n >= -1."""
     if n == -1:

@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.polynomial import polyder, polyval
@@ -63,6 +64,12 @@ class ChargeSystem:
     def partition(self) -> np.ndarray:
         return partition_points(self.k)
 
+    @cached_property
+    def charge_bounds(self) -> tuple:
+        """Per-charge open interval (lo, hi): charge i lies in block i // l."""
+        pts = self.partition
+        return np.repeat(pts[:-1], self.l), np.repeat(pts[1:], self.l)
+
 
 @dataclass(frozen=True)
 class EquilibriumResult:
@@ -76,18 +83,15 @@ class EquilibriumResult:
 
 
 def is_feasible(sys: ChargeSystem, x: np.ndarray) -> bool:
-    """Strictly increasing, l points strictly inside each subinterval."""
+    """Strictly increasing, l points strictly inside each subinterval.
+
+    Every test is a comparison that must hold, so a NaN position fails it.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
         return False
-    if np.any(np.diff(x) <= 0.0):
-        return False
-    pts = sys.partition
-    for j in range(sys.k):
-        block = x[j * sys.l : (j + 1) * sys.l]
-        if np.any(block <= pts[j]) or np.any(block >= pts[j + 1]):
-            return False
-    return True
+    lo, hi = sys.charge_bounds
+    return bool(np.all((lo < x) & (x < hi)) and np.all(np.diff(x) > 0.0))
 
 
 def energy(sys: ChargeSystem, x: np.ndarray) -> float:

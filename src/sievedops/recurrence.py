@@ -5,6 +5,11 @@ Both families are defined through the block three-term recurrence
 factorization expresses p_{kn+j} through monic Chebyshev polynomials and a
 rescaled ultraspherical sequence q_n; mapping_residual checks that the two
 constructions agree exactly.
+
+Each family keeps one append-only table of p_0, p_1, ... (and each lam one
+table of C_n^lam), held in a cache bounded by TABLE_CACHE_SIZE and extended
+by one recurrence step per new degree, whatever order the degrees are
+asked in.
 """
 
 from __future__ import annotations
@@ -12,9 +17,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .chebyshev import t_hat, u_hat
+from .chebyshev import chebyshev_t, grow, t_hat, table_cache, three_term_step, u_hat
 from .polycore import Poly
 
 QUARTER = Fraction(1, 4)
@@ -91,22 +95,17 @@ def gamma_flat(fam: SievedFamily, m: int) -> Fraction:
     return block_coeff(fam, m // fam.k, m % fam.k).a
 
 
-@lru_cache(maxsize=None)
-def _sieved_monic_table(fam: SievedFamily, upto: int) -> tuple:
-    x = Poly.x()
-    polys = [Poly.one()]
-    if upto >= 1:
-        polys.append(x)
-    for m in range(1, upto):
-        polys.append(x * polys[m] - polys[m - 1].scale(gamma_flat(fam, m)))
-    return tuple(polys)
+@table_cache
+def _monic_table(fam: SievedFamily) -> list:
+    """The family's append-only table: entry m is p_m."""
+    return [Poly.one(), Poly.x()]
 
 
 def sieved_monic(fam: SievedFamily, n: int) -> Poly:
     """Monic sieved polynomial of degree n, built from the block recurrence."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    return _sieved_monic_table(fam, n)[n]
+    return grow(_monic_table(fam), n, three_term_step(lambda m: gamma_flat(fam, m)))
 
 
 def shifted_factorial(a: Fraction, n: int) -> Fraction:
@@ -116,7 +115,12 @@ def shifted_factorial(a: Fraction, n: int) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=None)
+@table_cache
+def _ultraspherical_table(lam: Fraction) -> list:
+    """The append-only table of C_n^lam, lam != 0."""
+    return [Poly.one(), Poly.x().scale(2 * lam)]
+
+
 def ultraspherical(lam: Fraction, n: int) -> Poly:
     """Classical (non-monic) ultraspherical polynomial C_n^lam.
 
@@ -127,19 +131,17 @@ def ultraspherical(lam: Fraction, n: int) -> Poly:
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if lam == 0:
-        from .chebyshev import chebyshev_t
-
         return chebyshev_t(n)
-    x = Poly.x()
-    prev, cur = Poly.one(), x.scale(2 * lam)
-    if n == 0:
-        return prev
-    for i in range(1, n):
-        nxt = (x * cur.scale(2 * (i + lam)) - prev.scale(i + 2 * lam - 1)).scale(
-            Fraction(1, i + 1)
-        )
-        prev, cur = cur, nxt
-    return cur
+
+    def step(table: list) -> Poly:
+        # (i + 1) C_{i+1} = 2 (i + lam) x C_i - (i + 2 lam - 1) C_{i-1}
+        i = len(table) - 1
+        return (
+            Poly.x() * table[i].scale(2 * (i + lam))
+            - table[i - 1].scale(i + 2 * lam - 1)
+        ).scale(Fraction(1, i + 1))
+
+    return grow(_ultraspherical_table(lam), n, step)
 
 
 def mapped_q(fam: SievedFamily, n: int) -> Poly:
@@ -155,8 +157,6 @@ def mapped_q(fam: SievedFamily, n: int) -> Poly:
         return Poly.one()
     scale_arg = Fraction(2) ** (fam.k - 1)
     if lam_q == 0:
-        from .chebyshev import chebyshev_t
-
         base = chebyshev_t(n).compose_linear(scale_arg)
         return base.scale(2 * Fraction(2) ** (-fam.k * n))
     base = ultraspherical(lam_q, n).compose_linear(scale_arg)

@@ -3,7 +3,9 @@
 Two independent routes produce the structure pair (M_N, N_N): closed-form
 Chebyshev expressions and the first-order recursion driven only by the
 Pearson data and the recurrence coefficients.  The recursion is the trusted
-oracle; the closed forms are what the tests put on trial.
+oracle; the closed forms are what the tests put on trial.  Each family keeps
+one append-only table of the recursion, held in a cache bounded by
+TABLE_CACHE_SIZE and extended by one step (two products) per new index.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chebyshev import t_hat, u_hat
+from .chebyshev import TABLE_CACHE_SIZE, grow, t_hat, table_cache, u_hat
 from .polycore import Poly, divide_exact, poly_gcd
 from .recurrence import SievedFamily, SievedKind, gamma_flat, sieved_monic
 
@@ -53,7 +55,7 @@ class OdeData:
     omega: Poly
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def pearson_data(fam: SievedFamily) -> PearsonData:
     k, lam = fam.k, fam.lam
     x = Poly.x()
@@ -160,31 +162,36 @@ def structure_pair_alternate(fam: SievedFamily, big_n: int) -> StructurePair:
     return StructurePair(m=m, n=nn, index=big_n, eps=_eps(fam, j))
 
 
-@lru_cache(maxsize=None)
-def _recursive_table(fam: SievedFamily, upto: int) -> tuple:
-    """(M_N, N_N) for N = 0..upto from the Pearson-driven recursion."""
+@table_cache
+def _pair_table(fam: SievedFamily) -> list:
+    """The family's append-only table for the Pearson-driven recursion.
+
+    Entry N + 1 is (M_N, N_N, M_{N+1}): the pair at index N and the M the
+    next step needs.  Entry 0 is the start (M_{-1}, N_{-1}, M_0) =
+    (0, -C, D / u0).
+    """
     pd = pearson_data(fam)
-    x = Poly.x()
-    n_prev = -pd.c  # N_{-1}
-    m_prev = Poly.zero()  # M_{-1}
-    m_cur = pd.d.scale(1 / pd.u0)  # M_0
-    pairs = []
-    for big_n in range(upto + 1):
-        n_cur = -pd.c - n_prev - x * m_cur
-        pairs.append((m_cur, n_cur))
-        gamma_next = gamma_flat(fam, big_n + 1)
-        gamma_cur = gamma_flat(fam, big_n) if big_n >= 1 else Fraction(0)
-        m_next = (
-            -pd.phi + m_prev.scale(gamma_cur) + x * (n_prev - n_cur)
-        ).scale(1 / gamma_next)
-        m_prev, m_cur, n_prev = m_cur, m_next, n_cur
-    return tuple(pairs)
+    return [(Poly.zero(), -pd.c, pd.d.scale(1 / pd.u0))]
 
 
 def structure_pair_recursive(fam: SievedFamily, big_n: int) -> StructurePair:
     if big_n < 0:
         raise ValueError("index must be >= 0")
-    m, nn = _recursive_table(fam, big_n)[big_n]
+    pd = pearson_data(fam)
+    x = Poly.x()
+
+    def step(table: list) -> tuple:
+        i = len(table) - 1  # index N of the new pair
+        m_prev, n_prev, m_cur = table[-1]
+        n_cur = -pd.c - n_prev - x * m_cur
+        gamma_next = gamma_flat(fam, i + 1)
+        gamma_cur = gamma_flat(fam, i) if i >= 1 else Fraction(0)
+        m_next = (
+            -pd.phi + m_prev.scale(gamma_cur) + x * (n_prev - n_cur)
+        ).scale(1 / gamma_next)
+        return m_cur, n_cur, m_next
+
+    m, nn, _ = grow(_pair_table(fam), big_n + 1, step)
     return StructurePair(m=m, n=nn, index=big_n, eps=_eps(fam, big_n % fam.k))
 
 

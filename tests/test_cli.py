@@ -88,6 +88,20 @@ def test_verify_ode_and_mapping(capsys):
     assert out["failures"] == []
 
 
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_structure_and_ode_at_degree_200(kind, capsys):
+    family = ["--kind", kind, "--lambda", "3/2", "--k", "5", "--max-n", "200"]
+    assert main(["verify-structure", *family]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["residuals"]) == 201
+    assert set(out["residuals"].values()) == {"zero"}
+    assert out["closed_form_matches_recursion"] is True
+    assert main(["verify-ode", *family]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["residuals"]) == 201
+    assert set(out["residuals"].values()) == {"zero"}
+
+
 def test_class_command(capsys):
     assert main(["class", "--kind", "second", "--lambda=-7/6", "--k", "3"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -67,6 +67,17 @@ def test_feasibility_checks():
     assert not is_feasible(SYS, np.zeros(3))
 
 
+def test_feasibility_rejects_non_finite():
+    sys_ = ChargeSystem(k=3, l=2, q=1.0)
+    assert not is_feasible(sys_, np.full(6, np.nan))
+    for bad_value in (np.nan, np.inf, -np.inf):
+        for i in (0, 3, 5):
+            x = default_init(sys_)
+            x[i] = bad_value
+            assert not is_feasible(sys_, x), (bad_value, i)
+    assert energy(sys_, np.full(6, np.nan)) == math.inf
+
+
 def test_energy_infeasible_marker():
     touching = default_init(SYS).copy()
     touching[0] = -1.0

@@ -1,10 +1,19 @@
 """Block recurrences, determinants, and the polynomial-mapping factorization."""
 
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
-from sievedops.chebyshev import t_hat, u_hat
+from sievedops import recurrence
+from sievedops.chebyshev import (
+    TABLE_CACHE_SIZE,
+    chebyshev_t,
+    t_hat,
+    table_cache,
+    u_hat,
+)
 from sievedops.polycore import Poly, divide_exact
 from sievedops.recurrence import (
     RegularityError,
@@ -234,3 +243,103 @@ def test_gamma_flat_positive_in_pd_range():
         assert all(gamma_flat(fam, m) > 0 for m in range(1, 30))
     with pytest.raises(ValueError):
         gamma_flat(FAM_C10, 0)
+
+
+def fresh_tables(monkeypatch):
+    """Empty per-family and per-lambda table caches, restored after the test."""
+    for name in ("_monic_table", "_ultraspherical_table"):
+        factory = getattr(recurrence, name).__wrapped__
+        monkeypatch.setattr(recurrence, name, table_cache(factory))
+
+
+def test_tables_independent_of_call_order(monkeypatch):
+    fam, lam = SievedFamily(SECOND, F(2, 7), 4), F(5, 3)
+    fresh_tables(monkeypatch)
+    high = (sieved_monic(fam, 70), ultraspherical(lam, 70))
+    low = (sieved_monic(fam, 3), ultraspherical(lam, 3), ultraspherical(0, 9))
+    fresh_tables(monkeypatch)
+    in_order = [(sieved_monic(fam, n), ultraspherical(lam, n)) for n in range(71)]
+    assert high == in_order[70]
+    assert low == (*in_order[3], chebyshev_t(9))
+
+
+def test_tables_grow_safely_under_threads(monkeypatch):
+    fam, lam = SievedFamily(FIRST, F(3, 4), 3), F(1, 3)
+    expect = (
+        [sieved_monic(fam, n) for n in range(90)],
+        [ultraspherical(lam, n) for n in range(90)],
+    )
+
+    def fill(k):
+        for n in range(89 - k, 0, -7):  # highest first: every thread grows
+            sieved_monic(fam, n)
+            ultraspherical(lam, n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fresh_tables(monkeypatch)
+            threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert recurrence._monic_table(fam) == expect[0]
+            assert recurrence._ultraspherical_table(lam) == expect[1]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_table_cache_evicts_and_rebuilds(monkeypatch):
+    fresh_tables(monkeypatch)
+    first, lam = SievedFamily(FIRST, F(1, 2), 3), F(1, 2)
+    expect = [sieved_monic(first, n) for n in range(12)]
+    expect_c = [ultraspherical(lam, n) for n in range(12)]
+    table, table_c = recurrence._monic_table(first), recurrence._ultraspherical_table(lam)
+    for i in range(1, TABLE_CACHE_SIZE + 2):
+        sieved_monic(SievedFamily(FIRST, F(1, 2), 3 + i), 2)
+        ultraspherical(F(1, 2) + i, 2)
+    assert recurrence._monic_table.cache_info().currsize == TABLE_CACHE_SIZE
+    assert recurrence._ultraspherical_table.cache_info().currsize == TABLE_CACHE_SIZE
+    assert recurrence._monic_table(first) is not table
+    assert recurrence._ultraspherical_table(lam) is not table_c
+    assert [sieved_monic(first, n) for n in range(12)] == expect
+    assert [ultraspherical(lam, n) for n in range(12)] == expect_c
+
+
+def test_failed_step_leaves_table_intact(monkeypatch):
+    fam = SievedFamily(SECOND, F(3, 5), 5)
+    fresh_tables(monkeypatch)
+    expect = [sieved_monic(fam, n) for n in range(40)]
+    fresh_tables(monkeypatch)
+    real, raised = recurrence.gamma_flat, []
+
+    def flaky(f, m):
+        if m == 17 and not raised:
+            raised.append(m)
+            raise ArithmeticError("injected")
+        return real(f, m)
+
+    monkeypatch.setattr(recurrence, "gamma_flat", flaky)
+    with pytest.raises(ArithmeticError):
+        sieved_monic(fam, 39)
+    assert recurrence._monic_table(fam) == expect[:18]
+    assert sieved_monic(fam, 39) == expect[39]
+    assert recurrence._monic_table(fam) == expect
+
+
+def test_sieved_monic_sweep_one_product_per_degree(monkeypatch):
+    fam = SievedFamily(FIRST, F(4, 9), 4)
+    fresh_tables(monkeypatch)
+    real, calls = Poly.__mul__, [0]
+
+    def counting(self, other):
+        calls[0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for n in range(121):
+        sieved_monic(fam, n)
+    assert calls[0] <= 121  # rebuilding from degree 0 each time makes ~7,000
