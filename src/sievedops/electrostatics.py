@@ -15,9 +15,15 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import polyval
 
-from .numerics import float_coeffs, interval_counts, partition_points, zeros
+from .numerics import (
+    float_coeffs,
+    interval_counts,
+    partition_points,
+    sieved_derivatives,
+    zeros,
+)
 from .recurrence import SievedFamily, SievedKind
 
 
@@ -55,10 +61,15 @@ class ChargeSystem:
     def lam(self) -> Fraction:
         return 2 * Fraction(self.q).limit_denominator(10**12) - Fraction(1, 2)
 
-    @property
+    @cached_property
     def interior_points(self) -> np.ndarray:
         """cos(j pi / k), j = 1..k-1, ascending."""
         return partition_points(self.k)[1:-1]
+
+    @cached_property
+    def pair_indices(self) -> tuple:
+        """Row and column indices of the pairs i < j, in row-major order."""
+        return np.triu_indices(self.n, 1)
 
     @property
     def partition(self) -> np.ndarray:
@@ -104,8 +115,7 @@ def energy(sys: ChargeSystem, x: np.ndarray) -> float:
     if not is_feasible(sys, x):
         return math.inf
     diffs = x[:, None] - x[None, :]
-    iu = np.triu_indices(sys.n, 1)
-    e = -2.0 * np.sum(np.log(np.abs(diffs[iu])))
+    e = -2.0 * np.sum(np.log(np.abs(diffs[sys.pair_indices])))
     e -= 2.0 * sys.q * np.sum(np.log1p(-x * x))
     # log|U_hat(k-1)| = sum_j log|x - cos(j pi/k)| (monic, roots known)
     e -= 2.0 * sys.q_tilde * np.sum(
@@ -181,20 +191,20 @@ def solve_equilibrium(
     if not is_feasible(sys, x):
         raise InfeasibleError("initial configuration infeasible")
     g = gradient(sys, x)
+    e0 = energy(sys, x)
     it = 0
     converged = float(np.max(np.abs(g))) < tol
     while not converged and it < max_iter:
         h = hessian(sys, x)
         step = np.linalg.solve(h, -g)
         t = 1.0
-        e0 = energy(sys, x)
         accepted = False
         for _ in range(60):
             cand = x + t * step
             if is_feasible(sys, cand):
                 e1 = energy(sys, cand)
                 if e1 <= e0 + 1e-12 * (1.0 + abs(e0)):
-                    x = cand
+                    x, e0 = cand, e1
                     accepted = True
                     break
             t *= 0.5
@@ -206,7 +216,7 @@ def solve_equilibrium(
     h = hessian(sys, x)
     return EquilibriumResult(
         x_star=x,
-        energy=energy(sys, x),
+        energy=e0,
         grad_inf_norm=float(np.max(np.abs(g))),
         hessian_pd=is_positive_definite(h),
         diag_dominant=is_diag_dominant(h),
@@ -233,7 +243,6 @@ def partial_fraction_rhs(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
 
 def verify_theorem(sys: ChargeSystem, seed: int = 0x5EED) -> dict:
     """All equilibrium checks for one system; see the keys of the result."""
-    from .recurrence import sieved_monic
     from .semiclassical import pearson_data
 
     fam = SievedFamily(kind=SievedKind.FIRST, lam=sys.lam, k=sys.k)
@@ -248,8 +257,8 @@ def verify_theorem(sys: ChargeSystem, seed: int = 0x5EED) -> dict:
     report["grad_ok"] = report["grad_at_zeros"] < 1e-9
 
     # (b) stationarity identity p''/p' = partial-fraction sum at each zero
-    dc = polyder(float_coeffs(sieved_monic(fam, sys.n)))
-    ratio = polyval(xz, polyder(dc)) / polyval(xz, dc)
+    _, dp, d2p = sieved_derivatives(fam, sys.n, xz)
+    ratio = d2p / dp
     report["stationarity_resid"] = float(
         np.max(np.abs(ratio - partial_fraction_rhs(sys, xz)))
     )

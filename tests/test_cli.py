@@ -118,6 +118,50 @@ def test_zeros_chebyshev(capsys):
     assert max(abs(a - b) for a, b in zip(out["zeros"], expect)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [20, 40])
+def test_zeros_high_degree_pass(n, capsys):
+    # monomial evaluation gave a residual of 2.4e-10 at n = 20, above --tol
+    rc = main(["zeros", "--kind", "first", "--lambda", "3/2", "--k", "5",
+               "--n", str(n)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and out["pass"]
+    assert out["max_residual"] < 1e-10 and len(out["zeros"]) == n
+
+
+def test_orthogonality_command(capsys):
+    rc = main(["orthogonality", "--kind", "first", "--lambda", "3/2", "--k", "5",
+               "--max-n", "30"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["failures"] == [] and out["worst_defect"] < 1e-9
+
+
+def test_orthogonality_not_converged_raises():
+    # a pair that fails the refinement check ends the command with the
+    # QuadratureNonConvergence traceback and exit code 1
+    from sievedops.numerics import QuadratureNonConvergence
+
+    args = ["orthogonality", "--kind", "first", "--lambda=-1/4", "--k", "4",
+            "--max-n", "6"]
+    with pytest.raises(QuadratureNonConvergence):
+        main(args)
+    rc, out, err = run_cli(args)
+    assert rc == 1 and out == ""
+    assert "QuadratureNonConvergence" in err
+
+
+def test_import_leaves_scipy_out():
+    path = [SRC_DIR, os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sievedops.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
 def test_equilibrium_command(capsys):
     rc = main(["equilibrium", "--k", "3", "--l", "1", "--q", "1.0"])
     out = json.loads(capsys.readouterr().out)

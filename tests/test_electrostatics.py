@@ -156,6 +156,33 @@ def test_solver_q_quarter_case():
     assert np.max(np.abs(res.x_star - expect)) < 1e-10
 
 
+def test_solver_evaluates_energy_once_per_candidate(monkeypatch):
+    # every Newton step here is a full step, so one energy per iterate: the
+    # accepted candidate's energy is carried, not evaluated again
+    import sievedops.electrostatics as es
+
+    calls = []
+
+    def counted(sys_, x):
+        calls.append(1)
+        return energy(sys_, x)
+
+    monkeypatch.setattr(es, "energy", counted)
+    res = solve_equilibrium(SYS)
+    assert res.converged and res.iterations > 1
+    assert len(calls) == res.iterations + 1
+    assert res.energy == energy(SYS, res.x_star)
+
+
+def test_charge_system_geometry_cached():
+    sys_ = ChargeSystem(k=4, l=3, q=1.0)
+    assert sys_.interior_points is sys_.interior_points
+    assert sys_.pair_indices is sys_.pair_indices
+    rows, cols = sys_.pair_indices
+    expect = [(i, j) for i in range(sys_.n) for j in range(i + 1, sys_.n)]
+    assert list(zip(rows.tolist(), cols.tolist())) == expect
+
+
 def test_solver_rejects_infeasible_init():
     with pytest.raises(InfeasibleError):
         solve_equilibrium(SYS, init=np.zeros(SYS.n))
@@ -205,7 +232,7 @@ def test_psi_phi_mn_identity():
 
 
 @pytest.mark.parametrize(
-    "k,l,q", [(5, 2, 1.0), (3, 3, 0.75), (4, 1, 0.25), (3, 1, 0.5)]
+    "k,l,q", [(5, 2, 1.0), (3, 3, 0.75), (4, 1, 0.25), (3, 1, 0.5), (5, 6, 1.0)]
 )
 def test_verify_theorem(k, l, q):
     rep = verify_theorem(ChargeSystem(k=k, l=l, q=q))

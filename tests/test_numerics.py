@@ -10,17 +10,22 @@ from numpy.polynomial.polynomial import polyval
 from sievedops.numerics import (
     DegenerateConfigurationError,
     DomainError,
+    QuadratureNonConvergence,
     UnsupportedRangeError,
     chebyshev_u_float,
     float_coeffs,
+    float_gammas,
+    gram_matrix,
     interval_counts,
     orthogonality_defect,
+    orthogonality_defects,
     partition_points,
+    sieved_derivatives,
     weight,
     zero_residuals,
     zeros,
 )
-from sievedops.recurrence import SievedFamily, SievedKind
+from sievedops.recurrence import SievedFamily, SievedKind, gamma_flat, sieved_monic
 
 FIRST, SECOND = SievedKind.FIRST, SievedKind.SECOND
 
@@ -49,8 +54,37 @@ def test_zeros_symmetric_and_interior():
 
 
 def test_zero_residuals_small():
-    for n in (6, 10, 14):
+    # monomial evaluation gave 2.4e-10 at n = 20 and 0.013 at n = 40
+    for n in (6, 10, 14, 20, 40, 200):
         assert zero_residuals(zeros(FAM_C10, n)).max() < 1e-10
+
+
+def test_float_gammas_correctly_rounded():
+    fam = SievedFamily(SECOND, F(1, 3), 4)
+    expect = [0.0] + [float(gamma_flat(fam, m)) for m in range(1, 50)]
+    assert float_gammas(fam, 50).tolist() == expect
+    assert float_gammas(fam, 7).tolist() == expect[:7]
+    assert float_gammas(fam, 0).tolist() == []
+
+
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+@pytest.mark.parametrize("lam", [F(0), F(3, 2), F(-1, 4), F(-7, 6)])
+def test_sieved_derivatives_match_exact(kind, lam):
+    # p_n, p_n', p_n'' against exact evaluation at dyadic points, which are
+    # binary64 numbers; the error is measured against the largest value on
+    # the points, since near a zero of the value no relative bound holds
+    pts = [F(j, 32) for j in range(-35, 36, 5)]
+    xs = np.array([float(t) for t in pts])
+    for k in (3, 5):
+        fam = SievedFamily(kind, lam, k)
+        for n in range(31):
+            got = sieved_derivatives(fam, n, xs)
+            assert got.shape == (3, len(pts))
+            p = sieved_monic(fam, n)
+            for row, q in zip(got, (p, p.derivative(), p.derivative().derivative())):
+                exact = np.array([float(q.evaluate(t)) for t in pts])
+                scale = np.max(np.abs(exact))
+                assert np.max(np.abs(row - exact)) <= 1e-12 * scale, (k, n)
 
 
 def test_zeros_range_errors():
@@ -101,6 +135,39 @@ def test_orthogonality_self_consistency():
     a = orthogonality_defect(fam, 3, 8, panels_per_arc=8, check_convergence=False)
     b = orthogonality_defect(fam, 3, 8, panels_per_arc=16, check_convergence=False)
     assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+@pytest.mark.parametrize("lam", [F(1, 2), F(3, 2)])
+def test_orthogonality_degree_30(kind, lam):
+    # monomial evaluation moved these defects by ~2e-8 under refinement
+    fam = SievedFamily(kind, lam, 5)
+    for m in range(30):
+        assert orthogonality_defect(fam, m, 30) < 1e-9
+
+
+def test_orthogonality_defects_one_gram_matrix():
+    fam = SievedFamily(SECOND, F(1, 2), 4)
+    pairs = [(m, n) for n in range(13) for m in range(n)]
+    batch = orthogonality_defects(fam, pairs)
+    # each single pair builds a smaller Gram matrix, which may sum in
+    # another order, so the two agree to rounding, not bit for bit
+    single = [orthogonality_defect(fam, m, n) for m, n in pairs]
+    assert np.max(np.abs(np.array(batch) - single)) < 1e-14
+    assert max(batch) < 1e-9
+    # rows are scaled by 2^m, so the Gram matrix stays finite at degree 600
+    g = gram_matrix(SievedFamily(FIRST, F(3, 2), 5), 600)
+    assert np.all(np.isfinite(g)) and np.min(np.diag(g)) > 0.1
+    with pytest.raises(ValueError):
+        orthogonality_defect(fam, -1, 2)
+
+
+def test_orthogonality_singular_weight_not_converged():
+    # density |sin 4 theta|^{-1/2}: Gauss-Legendre panels converge slowly at
+    # the singular arc ends, and the refinement check must say so
+    fam = SievedFamily(FIRST, F(-1, 4), 4)
+    with pytest.raises(QuadratureNonConvergence):
+        orthogonality_defect(fam, 3, 5)
 
 
 def test_orthogonality_range_error():
