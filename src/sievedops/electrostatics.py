@@ -13,18 +13,30 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .numerics import (
+    _scaled_derivatives,
     float_coeffs,
     interval_counts,
     partition_points,
-    sieved_derivatives,
     zeros,
 )
 from .recurrence import SievedFamily, SievedKind
+
+
+# Armijo's sufficient-decrease fraction
+ARMIJO = 1e-4
+# halvings of the step before the line search gives up
+MAX_BACKTRACKS = 50
+# Bertsekas's epsilon: the widest margin at which a bound can hold a charge
+ACTIVE_MARGIN = 1e-6
+# a Newton decrement at most this times 1 + |E| has converged: rounding in
+# the sum of about n^2 logarithms hides energy changes that small
+DECREMENT_TOL = 1e-15
 
 
 class InfeasibleError(ValueError):
@@ -82,6 +94,17 @@ class ChargeSystem:
         return np.repeat(pts[:-1], self.l), np.repeat(pts[1:], self.l)
 
 
+class NewtonStep(NamedTuple):
+    """One solver iteration: the state at its start and the step it took."""
+
+    energy: float
+    grad_inf_norm: float
+    decrement: float  # -g.d, the Newton decrement squared
+    t: float  # accepted step length along the projected arc
+    backtracks: int  # halvings of t before the Armijo test held
+    active: int  # charges held at a block bound
+
+
 @dataclass(frozen=True)
 class EquilibriumResult:
     x_star: np.ndarray
@@ -91,6 +114,7 @@ class EquilibriumResult:
     diag_dominant: bool
     iterations: int
     converged: bool
+    trace: tuple  # one NewtonStep per iteration
 
 
 def is_feasible(sys: ChargeSystem, x: np.ndarray) -> bool:
@@ -102,7 +126,7 @@ def is_feasible(sys: ChargeSystem, x: np.ndarray) -> bool:
     if x.shape != (sys.n,):
         return False
     lo, hi = sys.charge_bounds
-    return bool(np.all((lo < x) & (x < hi)) and np.all(np.diff(x) > 0.0))
+    return bool(((lo < x) & (x < hi)).all() and (x[1:] > x[:-1]).all())
 
 
 def energy(sys: ChargeSystem, x: np.ndarray) -> float:
@@ -114,45 +138,53 @@ def energy(sys: ChargeSystem, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if not is_feasible(sys, x):
         return math.inf
-    diffs = x[:, None] - x[None, :]
-    e = -2.0 * np.sum(np.log(np.abs(diffs[sys.pair_indices])))
-    e -= 2.0 * sys.q * np.sum(np.log1p(-x * x))
+    rows, cols = sys.pair_indices
+    # x is increasing, so x_j - x_i > 0 for every pair i < j
+    e = -2.0 * np.log(x[cols] - x[rows]).sum()
+    e -= 2.0 * sys.q * np.log1p(-x * x).sum()
     # log|U_hat(k-1)| = sum_j log|x - cos(j pi/k)| (monic, roots known)
-    e -= 2.0 * sys.q_tilde * np.sum(
-        np.log(np.abs(x[:, None] - sys.interior_points[None, :]))
-    )
+    e -= 2.0 * sys.q_tilde * np.log(
+        np.abs(x[:, None] - sys.interior_points[None, :])
+    ).sum()
     return float(e)
 
 
-def gradient(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
+def _feasible_array(sys: ChargeSystem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not is_feasible(sys, x):
         raise InfeasibleError("configuration outside the feasible region")
-    diffs = x[:, None] - x[None, :]
-    np.fill_diagonal(diffs, np.inf)
-    g = -2.0 * np.sum(1.0 / diffs, axis=1)
-    g -= 4.0 * sys.q * x / (x * x - 1.0)
-    g -= 2.0 * sys.q_tilde * np.sum(
-        1.0 / (x[:, None] - sys.interior_points[None, :]), axis=1
-    )
-    return g
+    return x
+
+
+def _derivatives(sys: ChargeSystem, x: np.ndarray) -> tuple:
+    """Gradient and Hessian of the energy at a feasible x, both built from
+    one matrix of inverse gaps 1 / (x_i - x_j)."""
+    inv = x[:, None] - x[None, :]
+    np.fill_diagonal(inv, np.inf)
+    np.divide(1.0, inv, out=inv)
+    inv_c = 1.0 / (x[:, None] - sys.interior_points[None, :])
+    w = x * x - 1.0
+    g = -2.0 * inv.sum(axis=1)
+    g -= 4.0 * sys.q * x / w
+    g -= 2.0 * sys.q_tilde * inv_c.sum(axis=1)
+    inv *= inv
+    inv_c *= inv_c
+    h = -2.0 * inv
+    diag = 2.0 * inv.sum(axis=1)
+    diag += 4.0 * sys.q * (x * x + 1.0) / (w * w)
+    diag += 2.0 * sys.q_tilde * inv_c.sum(axis=1)
+    np.fill_diagonal(h, diag)
+    return g, h
+
+
+def gradient(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
+    x = _feasible_array(sys, x)
+    return _derivatives(sys, x)[0]
 
 
 def hessian(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if not is_feasible(sys, x):
-        raise InfeasibleError("configuration outside the feasible region")
-    diffs = x[:, None] - x[None, :]
-    np.fill_diagonal(diffs, np.inf)
-    inv2 = 1.0 / diffs**2
-    h = -2.0 * inv2
-    diag = 2.0 * np.sum(inv2, axis=1)
-    diag += 4.0 * sys.q * (x * x + 1.0) / (x * x - 1.0) ** 2
-    diag += 2.0 * sys.q_tilde * np.sum(
-        1.0 / (x[:, None] - sys.interior_points[None, :]) ** 2, axis=1
-    )
-    np.fill_diagonal(h, diag)
-    return h
+    x = _feasible_array(sys, x)
+    return _derivatives(sys, x)[1]
 
 
 def is_diag_dominant(h: np.ndarray) -> bool:
@@ -180,48 +212,80 @@ def default_init(sys: ChargeSystem) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _inner_bounds(sys: ChargeSystem) -> tuple:
+    """The block bounds pulled two ulps inside, so a clipped charge is still
+    strictly inside its block."""
+    lo, hi = sys.charge_bounds
+    return (np.nextafter(np.nextafter(lo, hi), hi),
+            np.nextafter(np.nextafter(hi, lo), lo))
+
+
 def solve_equilibrium(
     sys: ChargeSystem,
     init: np.ndarray | None = None,
-    tol: float = 1e-11,
     max_iter: int = 200,
 ) -> EquilibriumResult:
-    """Damped Newton on the gradient, backtracking out of infeasible steps."""
+    """Projected Newton method with an active set for the block bounds
+    (Bertsekas, SIAM J. Control Optim. 20, 1982).
+
+    P clips to the block bounds pulled two ulps inside.  Each iteration holds
+    fixed every charge within eps = min(1e-6, |x - P(x - g)|_inf) of its
+    bound whose gradient points out of the block, solves H d = -g on the
+    other charges, and backtracks t from 1 along the projected arc
+    x(t) = P(x + t d) until E(x(t)) <= E - 1e-4 t (-g.d).  `energy` is +inf
+    off the ordered, blocked set, so it also rejects trials that break the
+    ordering.  The solve has converged once no charge is held and the Newton
+    decrement -g.d is at most 1e-15 (1 + |E|) (Boyd and Vandenberghe,
+    Convex Optimization, 9.5): that step is below what comparing energies
+    can resolve, so it is taken if feasible and the solve returns.
+    """
     x = default_init(sys) if init is None else np.asarray(init, dtype=float).copy()
     if not is_feasible(sys, x):
         raise InfeasibleError("initial configuration infeasible")
-    g = gradient(sys, x)
+    lo, hi = _inner_bounds(sys)
     e0 = energy(sys, x)
-    it = 0
-    converged = float(np.max(np.abs(g))) < tol
-    while not converged and it < max_iter:
-        h = hessian(sys, x)
-        step = np.linalg.solve(h, -g)
-        t = 1.0
-        accepted = False
-        for _ in range(60):
-            cand = x + t * step
-            if is_feasible(sys, cand):
-                e1 = energy(sys, cand)
-                if e1 <= e0 + 1e-12 * (1.0 + abs(e0)):
-                    x, e0 = cand, e1
-                    accepted = True
-                    break
-            t *= 0.5
-        it += 1
+    g, h = _derivatives(sys, x)
+    trace = []
+    converged = False
+    while not converged and len(trace) < max_iter:
+        margin = min(ACTIVE_MARGIN, float(np.abs(x - np.clip(x - g, lo, hi)).max()))
+        active = ((x <= lo + margin) & (g > 0.0)) | ((x >= hi - margin) & (g < 0.0))
+        n_active = int(np.count_nonzero(active))
+        if n_active:
+            free = ~active
+            d = np.zeros_like(x)
+            d[free] = np.linalg.solve(h[np.ix_(free, free)], -g[free])
+        else:
+            d = np.linalg.solve(h, -g)
+        decrement = -float(g @ d)
+        if not decrement >= 0.0:
+            break  # not a descent direction: H is indefinite, as q < 1/4 allows
+        converged = not n_active and decrement <= DECREMENT_TOL * (1.0 + abs(e0))
+        for backtracks in range(MAX_BACKTRACKS + 1):
+            t = 0.5**backtracks
+            cand = np.clip(x + t * d, lo, hi)
+            e1 = energy(sys, cand)
+            accepted = e1 <= e0 - ARMIJO * t * decrement or (
+                converged and e1 < math.inf
+            )
+            if accepted:
+                break
+        trace.append(NewtonStep(e0, float(np.max(np.abs(g))), decrement, t,
+                                backtracks, n_active))
         if not accepted:
+            converged = False
             break
-        g = gradient(sys, x)
-        converged = float(np.max(np.abs(g))) < tol
-    h = hessian(sys, x)
+        x, e0 = cand, e1
+        g, h = _derivatives(sys, x)
     return EquilibriumResult(
         x_star=x,
         energy=e0,
         grad_inf_norm=float(np.max(np.abs(g))),
         hessian_pd=is_positive_definite(h),
         diag_dominant=is_diag_dominant(h),
-        iterations=it,
+        iterations=len(trace),
         converged=converged,
+        trace=tuple(trace),
     )
 
 
@@ -257,7 +321,8 @@ def verify_theorem(sys: ChargeSystem, seed: int = 0x5EED) -> dict:
     report["grad_ok"] = report["grad_at_zeros"] < 1e-9
 
     # (b) stationarity identity p''/p' = partial-fraction sum at each zero
-    _, dp, d2p = sieved_derivatives(fam, sys.n, xz)
+    # a ratio, so the 2^n-scaled values serve and cannot underflow
+    _, dp, d2p = _scaled_derivatives(fam, sys.n, xz)
     ratio = d2p / dp
     report["stationarity_resid"] = float(
         np.max(np.abs(ratio - partial_fraction_rhs(sys, xz)))

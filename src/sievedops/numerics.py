@@ -128,13 +128,15 @@ def recurrence_rows(fam: SievedFamily, n: int, x) -> np.ndarray:
     return v
 
 
-def sieved_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
-    """p_n(x), p_n'(x) and p_n''(x), stacked on a new first axis.
+def _scaled_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
+    """2^n p_n(x), 2^n p_n'(x) and 2^n p_n''(x), stacked on a new first axis.
 
     Differentiating the recurrence once and twice gives
     p'_{m+1} = p_m + x p'_m - gamma_m p'_{m-1} and
     p''_{m+1} = 2 p'_m + x p''_m - gamma_m p''_{m-1}; all three run scaled
-    by 2^m as in recurrence_rows, and the exact 2^-n is taken out at the end.
+    by 2^m as in recurrence_rows.  Ratios of these values equal the ratios
+    of the unscaled ones bit for bit, and stay finite past n = 1074, where
+    2^-n underflows.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -150,12 +152,22 @@ def sieved_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
         nxt -= g4[m] * prev
         nxt[1:] += lift * cur[:-1]
         prev, cur = cur, nxt
-    return np.ldexp(cur, -n)
+    return cur
+
+
+def sieved_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
+    """p_n(x), p_n'(x) and p_n''(x), stacked on a new first axis.
+
+    These are the scaled values times the exact 2^-n, which turns subnormal
+    past n = 1022 and underflows to zero near n = 1074; callers that only
+    take ratios use _scaled_derivatives.
+    """
+    return np.ldexp(_scaled_derivatives(fam, n, x), -n)
 
 
 def zero_residuals(z: ZeroSet) -> np.ndarray:
     """|p_n(x)| / (|p_n'(x)| * local spacing) at each computed zero."""
-    p, dp, _ = sieved_derivatives(z.family, z.n, z.values)
+    p, dp, _ = _scaled_derivatives(z.family, z.n, z.values)
     vals = z.values
     spacing = np.empty_like(vals)
     if len(vals) > 1:

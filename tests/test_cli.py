@@ -170,6 +170,49 @@ def test_equilibrium_command(capsys):
     assert len(out["x_star"]) == 3
 
 
+def test_equilibrium_large_system_converges(capsys):
+    # an absolute gradient tolerance kept this solve running all 200
+    # iterations; the stop is now relative to the energy
+    rc = main(["equilibrium", "--k", "10", "--l", "60", "--q", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and out["converged"]
+    assert out["iterations"] <= 30 and len(out["x_star"]) == 600
+
+
+def test_equilibrium_has_no_tol_flag(capsys):
+    rc = main(["equilibrium", "--k", "3", "--l", "1", "--q", "1.0",
+               "--tol", "1e-11"])
+    assert rc == 2
+    capsys.readouterr()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("n", [1100, 2000])
+def test_zeros_past_underflow(n, capsys):
+    # 2^-n p_n underflowed: n = 1060 passed vacuously and n = 1080 printed NaN
+    rc = main(["zeros", "--kind", "first", "--lambda", "3/2", "--k", "5",
+               "--n", str(n)])
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert 0.0 < out["max_residual"] < 1e-10
+    assert rc == 0 and out["pass"]
+
+
+def test_zeros_non_finite_residual_fails(monkeypatch, capsys):
+    import numpy as np
+
+    from sievedops import numerics
+
+    monkeypatch.setattr(numerics, "zero_residuals",
+                        lambda z: np.full(z.n, np.nan))
+    rc = main(["zeros", "--kind", "first", "--lambda", "3/2", "--k", "5",
+               "--n", "10"])
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert rc == 1 and out["pass"] is False and out["max_residual"] is None
+
+
 def test_emit_plot_figure2(tmp_path, capsys):
     rc = main(["emit-plot", "--figure2", "--outdir", str(tmp_path),
                "--samples", "21"])

@@ -157,8 +157,9 @@ def test_solver_q_quarter_case():
 
 
 def test_solver_evaluates_energy_once_per_candidate(monkeypatch):
-    # every Newton step here is a full step, so one energy per iterate: the
-    # accepted candidate's energy is carried, not evaluated again
+    # one energy for the start, then one per trial step: the first trial of
+    # each iteration and one more per backtrack; the accepted candidate's
+    # energy is carried, not evaluated again
     import sievedops.electrostatics as es
 
     calls = []
@@ -168,10 +169,28 @@ def test_solver_evaluates_energy_once_per_candidate(monkeypatch):
         return energy(sys_, x)
 
     monkeypatch.setattr(es, "energy", counted)
-    res = solve_equilibrium(SYS)
-    assert res.converged and res.iterations > 1
-    assert len(calls) == res.iterations + 1
-    assert res.energy == energy(SYS, res.x_star)
+    # the second system backtracks once, on its first step
+    for sys_ in (SYS, ChargeSystem(k=5, l=12, q=0.25)):
+        calls.clear()
+        res = solve_equilibrium(sys_)
+        assert res.converged and res.iterations > 1
+        backtracks = sum(step.backtracks for step in res.trace)
+        assert len(calls) == res.iterations + 1 + backtracks
+        assert res.energy == energy(sys_, res.x_star)
+    assert backtracks > 0
+
+
+def test_solver_trace():
+    sys_ = ChargeSystem(k=3, l=12, q=0.25)
+    res = solve_equilibrium(sys_)
+    assert res.converged and len(res.trace) == res.iterations
+    first, last = res.trace[0], res.trace[-1]
+    assert first.energy == energy(sys_, default_init(sys_))
+    # Newton pins charges at a block fence, and the active set frees them
+    assert max(step.active for step in res.trace) > 0
+    assert last.active == 0 and last.decrement <= 1e-15 * (1 + abs(last.energy))
+    assert all(step.energy >= nxt.energy for step, nxt in zip(res.trace, res.trace[1:]))
+    assert all(step.t == 0.5**step.backtracks for step in res.trace)
 
 
 def test_charge_system_geometry_cached():
@@ -244,3 +263,38 @@ def test_energy_baseline_regression():
     e = energy(SYS, theorem_zero_set(SYS))
     assert math.isfinite(e)
     assert abs(e - energy(SYS, solve_equilibrium(SYS).x_star)) < 1e-9
+
+
+# the theorem cells of the float-model benchmark workload
+FLOAT_MODEL_CELLS = [
+    (q, k, l) for q in (0.25, 0.75, 1.25) for k in (3, 4, 5) for l in (4, 12)
+]
+
+
+@pytest.mark.parametrize("q,k,l", FLOAT_MODEL_CELLS)
+def test_verify_theorem_float_model_cells(q, k, l):
+    # at q = 1/4 and l = 12 the solver used to pin a charge at a block fence
+    # and stall; at q = 3/4 it stopped short of an absolute gradient bound
+    rep = verify_theorem(ChargeSystem(k=k, l=l, q=q))
+    assert rep["solver_ok"] and rep["all_ok"], rep
+
+
+def test_solver_q_quarter_lands_on_chebyshev_zeros():
+    # q = 1/4 gives lam = 0: the equilibrium is the zero set of T_36
+    res = solve_equilibrium(ChargeSystem(k=3, l=12, q=0.25))
+    expect = np.cos((2 * np.arange(36, 0, -1) - 1) * math.pi / 72)
+    assert res.converged
+    assert np.max(np.abs(res.x_star - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("q,k", [(q, k) for q in (0.25, 0.75, 1.25) for k in (3, 4, 5)])
+def test_solver_from_perturbed_start_l12(q, k):
+    sys_ = ChargeSystem(k=k, l=12, q=q)
+    zs = theorem_zero_set(sys_)
+    rng = np.random.default_rng(0x5EED)
+    pert = zs + rng.uniform(-1e-2, 1e-2, len(zs))
+    while not is_feasible(sys_, pert):
+        pert = zs + rng.uniform(-1e-2, 1e-2, len(zs))
+    res = solve_equilibrium(sys_, init=pert)
+    assert res.converged
+    assert np.max(np.abs(res.x_star - zs)) < 1e-10
