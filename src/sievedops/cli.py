@@ -336,6 +336,13 @@ def cmd_emit_plot(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sieved-ops",
@@ -365,26 +372,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen_poly)
 
     p = sub.add_parser("verify-identities", help="Chebyshev identity suite")
-    p.add_argument("--max-n", type=int, default=64)
+    p.add_argument("--max-n", type=_non_negative, default=64)
     add_output(p)
     p.set_defaults(fn=cmd_verify_identities)
 
     p = sub.add_parser("verify-mapping",
                        help="recurrence vs polynomial-mapping factorization")
     add_family(p)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_non_negative, required=True)
     add_output(p)
     p.set_defaults(fn=cmd_verify_mapping)
 
     p = sub.add_parser("verify-structure", help="structure-relation residuals")
     add_family(p)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_non_negative, required=True)
     add_output(p)
     p.set_defaults(fn=cmd_verify_structure)
 
     p = sub.add_parser("verify-ode", help="second-order ODE residuals")
     add_family(p)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_non_negative, required=True)
     add_output(p)
     p.set_defaults(fn=cmd_verify_ode)
 
@@ -400,9 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
     p.set_defaults(fn=cmd_zeros)
 
-    p = sub.add_parser("orthogonality", help="quadrature orthogonality defects")
+    p = sub.add_parser("orthogonality",
+                       help="orthogonality defects from exact moments")
     add_family(p)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_non_negative, required=True)
     p.add_argument("--tol", type=float, default=1e-9)
     add_output(p)
     p.set_defaults(fn=cmd_orthogonality)

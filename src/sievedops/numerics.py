@@ -1,15 +1,18 @@
-"""Floating-point zeros, weight functions, and quadrature orthogonality.
+"""Floating-point zeros, weight functions, and orthogonality from moments.
 
 Every float check runs on the monic three-term recurrence
 p_{m+1} = x p_m - gamma_m p_{m-1}, never on monomial coefficients, which
 cancel catastrophically from degree about 20.  Each family keeps one
 append-only table of gamma_m rounded to binary64, from which zeros() builds
-the Jacobi matrix, recurrence_rows() the node-by-degree matrix V and
-sieved_derivatives() the values p_n, p_n', p_n'' (Gautschi, Orthogonal
+the Jacobi matrix, sieved_derivatives() the values p_n, p_n', p_n'' and
+gram_matrix() the Chebyshev coefficients of each p_m (Gautschi, Orthogonal
 Polynomials: Computation and Approximation, 2004).  Orthogonality is read
-off one Gram matrix G = V diag(w) V^T of a composite Gauss-Legendre rule in
-theta.  float_coeffs, the binary64 monomial coefficients, is kept for the
-emit-plot CSV and for checks on the low-degree Pearson data.
+off one Gram matrix G = C M C^T, where M holds the weight's Chebyshev
+modified moments: exact rationals, split here into double-double pairs
+that carry the mixed moments C M through the modified Chebyshev
+algorithm.  No quadrature rule is involved.  float_coeffs, the binary64
+monomial coefficients, is kept for the emit-plot CSV and for checks on
+the low-degree Pearson data.
 
 Everything here assumes the positive-definite range lam > -1/2, where the
 flattened recurrence coefficients are positive and the zeros are the
@@ -18,20 +21,15 @@ eigenvalues of a symmetric tridiagonal Jacobi matrix.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .chebyshev import TABLE_CACHE_SIZE, grow, table_cache
+from .chebyshev import grow, table_cache
 from .polycore import Poly
 from .recurrence import SievedFamily, SievedKind, gamma_flat
-
-# the refinement check: a defect may move by at most this when the panels
-# per arc are doubled
-REFINEMENT_TOL = 1e-8
 
 
 class UnsupportedRangeError(ValueError):
@@ -44,10 +42,6 @@ class DomainError(ValueError):
 
 class DegenerateConfigurationError(ValueError):
     """A zero coincides with a partition point within tolerance."""
-
-
-class QuadratureNonConvergence(ArithmeticError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -107,36 +101,14 @@ def zeros(fam: SievedFamily, n: int) -> ZeroSet:
     return ZeroSet(values=np.linalg.eigvalsh(jacobi), family=fam, n=n)
 
 
-def recurrence_rows(fam: SievedFamily, n: int, x) -> np.ndarray:
-    """V with V[m, i] = 2^m p_m(x_i) for m = 0..n.
-
-    On [-1, 1] p_m shrinks like 2^-m; the exact power of two keeps the rows
-    of order one, so products of rows do not underflow at high degree.
-    With r_m = 2^m p_m the recurrence reads r_{m+1} = 2x r_m - 4 gamma_m r_{m-1}.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    x2 = 2.0 * np.asarray(x, dtype=float).ravel()
-    g4 = 4.0 * float_gammas(fam, n)
-    v = np.empty((n + 1, x2.size))
-    v[0] = 1.0
-    if n:
-        v[1] = x2
-    for m in range(1, n):
-        np.multiply(x2, v[m], out=v[m + 1])
-        v[m + 1] -= g4[m] * v[m - 1]
-    return v
-
-
 def _scaled_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
     """2^n p_n(x), 2^n p_n'(x) and 2^n p_n''(x), stacked on a new first axis.
 
     Differentiating the recurrence once and twice gives
     p'_{m+1} = p_m + x p'_m - gamma_m p'_{m-1} and
     p''_{m+1} = 2 p'_m + x p''_m - gamma_m p''_{m-1}; all three run scaled
-    by 2^m as in recurrence_rows.  Ratios of these values equal the ratios
-    of the unscaled ones bit for bit, and stay finite past n = 1074, where
-    2^-n underflows.
+    by 2^m.  Ratios of these values equal the ratios of the unscaled ones
+    bit for bit, and stay finite past n = 1074, where 2^-n underflows.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -203,50 +175,100 @@ def weight(fam: SievedFamily, x: float) -> float:
     return (1.0 - x * x) ** exp_edge * u ** (2.0 * lam)
 
 
-def _theta_density(fam: SievedFamily, theta: np.ndarray) -> np.ndarray:
-    """Weight times dx/dtheta after x = cos(theta): |sin k theta|^{2 lam},
-    with an extra sin^2(theta) for the second kind."""
-    lam = float(fam.lam)
-    dens = np.abs(np.sin(fam.k * theta)) ** (2.0 * lam)
-    if fam.kind == SievedKind.SECOND:
-        dens = dens * np.sin(theta) ** 2
-    return dens
+def chebyshev_moments(fam: SievedFamily, top: int) -> list:
+    """Exact modified moments mu_d = <T_d> / <T_0> of the weight, d = 0..top.
 
-
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _leggauss(nodes: int) -> tuple:
-    gx, gw = np.polynomial.legendre.leggauss(nodes)
-    gx.setflags(write=False)
-    gw.setflags(write=False)
-    return gx, gw
-
-
-def _theta_rule(fam: SievedFamily, panels_per_arc: int, nodes: int) -> tuple:
-    """Points x = cos(theta) and weights w of a composite Gauss-Legendre rule
-    for the orthogonality measure: theta in (0, pi) is split at j pi / k,
-    where the density is non-smooth, into panels_per_arc equal panels per
-    arc, with `nodes` Gauss-Legendre nodes per panel."""
-    gx, gw = _leggauss(nodes)
-    k = fam.k
-    edges = np.array(
-        [np.linspace(j * math.pi / k, (j + 1) * math.pi / k, panels_per_arc + 1)
-         for j in range(k)]
-    )
-    lo = edges[:, :-1].reshape(-1, 1)
-    hi = edges[:, 1:].reshape(-1, 1)
-    half = 0.5 * (hi - lo)
-    theta = (0.5 * (lo + hi) + half * gx).ravel()
-    return np.cos(theta), (half * gw).ravel() * _theta_density(fam, theta)
-
-
-def gram_matrix(
-    fam: SievedFamily, n: int, panels_per_arc: int = 8, nodes: int = 40
-) -> np.ndarray:
-    """G[i, j] = <2^i p_i, 2^j p_j> for i, j = 0..n, by _theta_rule."""
+    Under x = cos(theta) the first-kind weight is |sin k theta|^{2 lam}
+    dtheta, of period pi/k: mu_d = 0 unless d = 2kj, where it is
+    nu_d = (-lam)_j / (lam + 1)_j (Al-Salam, Allaway and Askey, Trans. AMS
+    284, 1984).  The second kind's extra sin^2 theta = (1 - cos 2 theta) / 2
+    gives nu_d - (nu_{d+2} + nu_{|d-2|}) / 2, still with mu_0 = 1 as k >= 3.
+    """
     _require_positive_definite(fam)
-    x, w = _theta_rule(fam, panels_per_arc, nodes)
-    v = recurrence_rows(fam, n, x)
-    return (v * w) @ v.T
+    if top < 0:
+        raise ValueError(f"degree must be >= 0, got {top}")
+    mu = [Fraction(0)] * (top + 5)
+    nu = Fraction(1)
+    for j in range((top + 2) // (2 * fam.k) + 1):
+        d = 2 * fam.k * j
+        if fam.kind == SievedKind.SECOND:
+            # mu_2 takes nu_0 / 2 only once
+            mu[d + 2] -= nu / 2
+            if d:
+                mu[d - 2] -= nu / 2
+        mu[d] += nu
+        nu *= (j - fam.lam) / (j + 1 + fam.lam)
+    return mu[:top + 1]
+
+
+def _two_sum(a, b) -> tuple:
+    """s, e with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_prod(a, b) -> tuple:
+    """p, e with p = fl(a b) and p + e = a b exactly (Dekker).
+
+    Each factor is split into 26-bit halves, whose products are exact.
+    """
+    p = a * b
+    ta, tb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
+    ah, bh = ta - (ta - a), tb - (tb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(xh, xl, yh, yl) -> tuple:
+    """(xh + xl) + (yh + yl) in double-double arithmetic."""
+    s, e = _two_sum(xh, yh)
+    return _two_sum(s, e + (xl + yl))
+
+
+def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
+    """G[i, j] = <r_i, r_j> / <1> for i, j = 0..n, where r_m = 2^m p_m.
+
+    The power of two keeps the leading Chebyshev coefficient of r_m at 2,
+    so nothing underflows at high degree.  Row m of C holds the Chebyshev-T coefficients of r_m, from
+    r_{m+1} = 2x r_m - 4 gamma_m r_{m-1} with 2x T_0 = 2 T_1 and
+    2x T_d = T_{d+1} + T_{d-1}.  With M[a, b] = (mu_{a+b} + mu_{|a-b|}) / 2,
+    G = C M C^T = C S^T for the mixed moments S[m, a] = <r_m, T_a> / <1>.
+    Row 0 of S is mu; the same recurrence, moved onto T_a, gives the modified
+    Chebyshev algorithm <r_{m+1}, T_a> = <r_m, T_{a+1}> + <r_m, T_{|a-1|}>
+    - 4 gamma_m <r_{m-1}, T_a> (Gautschi, Orthogonal Polynomials:
+    Computation and Approximation, 2004, 2.1.7), with row m valid up to
+    a = 2n - m.  Its entries a < m are zero, cancelled from entries of order
+    one, and G[i, j], i <= j, sums C[i, a] S[j, a] over a <= i only.
+    binary64 leaves 1e-14 in those entries, which Chebyshev coefficients of
+    1e3 and more (lam >= 2) amplify, so S is carried in double-double pairs
+    hi + lo started from the exact moments.
+    """
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    mu = chebyshev_moments(fam, 2 * n)
+    g4 = 4.0 * float_gammas(fam, n)
+    c = np.zeros((n + 1, n + 1))
+    c[0, 0] = 1.0
+    # column i of S holds a = i - 1; column 0 is a = -1, where T_{-1} = T_1
+    hi = np.zeros((n + 1, 2 * n + 3))
+    lo = np.zeros_like(hi)
+    hi[0, 1:-1] = [float(v) for v in mu]
+    lo[0, 1:-1] = [float(v - Fraction(h)) if v else 0.0
+                   for v, h in zip(mu, hi[0, 1:-1])]
+    for m in range(n):
+        c[m + 1, 1:] = c[m, :-1]
+        c[m + 1, 1] += c[m, 0]
+        c[m + 1, :-1] += c[m, 1:]
+        hi[m, 0], lo[m, 0] = hi[m, 2], lo[m, 2]
+        h, l = _dd_add(hi[m, 2:], lo[m, 2:], hi[m, :-2], lo[m, :-2])
+        if m:
+            c[m + 1] -= g4[m] * c[m - 1]
+            p, e = _two_prod(g4[m], hi[m - 1, 1:-1])
+            h, l = _dd_add(h, l, -p, -(e + g4[m] * lo[m - 1, 1:-1]))
+        hi[m + 1, 1:-1], lo[m + 1, 1:-1] = h, l
+    g = np.triu(c @ hi[:, 1:n + 2].T)
+    return g + np.triu(g, 1).T
 
 
 def _defect(g: np.ndarray, m: int, n: int) -> float:
@@ -255,46 +277,20 @@ def _defect(g: np.ndarray, m: int, n: int) -> float:
     return abs(float(g[m, n])) / math.sqrt(float(g[m, m]) * float(g[n, n]))
 
 
-def orthogonality_defects(
-    fam: SievedFamily,
-    pairs,
-    panels_per_arc: int = 8,
-    nodes: int = 40,
-    check_convergence: bool = True,
-) -> list:
+def orthogonality_defects(fam: SievedFamily, pairs) -> list:
     """orthogonality_defect of each pair (m, n), in order, from one Gram
-    matrix per panel level; the first pair whose defect moves by more than
-    REFINEMENT_TOL when the panels are doubled raises."""
+    matrix."""
     pairs = list(pairs)
     degrees = [d for pair in pairs for d in pair]
     if degrees and min(degrees) < 0:
         raise ValueError(f"degree must be >= 0, got {min(degrees)}")
-    top = max(degrees, default=0)
-    g = gram_matrix(fam, top, panels_per_arc, nodes)
-    defects = [_defect(g, m, n) for m, n in pairs]
-    if check_convergence:
-        g2 = gram_matrix(fam, top, 2 * panels_per_arc, nodes)
-        for (m, n), d in zip(pairs, defects):
-            change = abs(d - _defect(g2, m, n))
-            if change > REFINEMENT_TOL:
-                raise QuadratureNonConvergence(
-                    f"defect changed by {change:.3e} under panel refinement"
-                )
-    return defects
+    g = gram_matrix(fam, max(degrees, default=0))
+    return [_defect(g, m, n) for m, n in pairs]
 
 
-def orthogonality_defect(
-    fam: SievedFamily,
-    m: int,
-    n: int,
-    panels_per_arc: int = 8,
-    nodes: int = 40,
-    check_convergence: bool = True,
-) -> float:
-    """|<p_m, p_n>| / sqrt(<p_m, p_m> <p_n, p_n>) by quadrature."""
-    return orthogonality_defects(
-        fam, [(m, n)], panels_per_arc, nodes, check_convergence
-    )[0]
+def orthogonality_defect(fam: SievedFamily, m: int, n: int) -> float:
+    """|<p_m, p_n>| / sqrt(<p_m, p_m> <p_n, p_n>) from the moments."""
+    return orthogonality_defects(fam, [(m, n)])[0]
 
 
 def partition_points(k: int) -> np.ndarray:
@@ -309,12 +305,10 @@ def interval_counts(z: ZeroSet, tol: float = 1e-12) -> list:
     if z.n % k != 0:
         raise ValueError(f"degree {z.n} is not a multiple of k={k}")
     pts = partition_points(k)
-    for x in z.values:
-        if np.min(np.abs(pts - x)) < tol:
-            raise DegenerateConfigurationError(
-                f"zero {x} coincides with a partition point"
-            )
-    counts = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        counts.append(int(np.sum((z.values > lo) & (z.values < hi))))
-    return counts
+    x = np.asarray(z.values)[:, None]
+    near = np.abs(x - pts).min(axis=1) < tol
+    if near.any():
+        raise DegenerateConfigurationError(
+            f"zero {z.values[near][0]} coincides with a partition point"
+        )
+    return ((x > pts[:-1]) & (x < pts[1:])).sum(axis=0).tolist()

@@ -31,7 +31,10 @@ def rat_to_str(r: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def _rational(c) -> Union[int, Fraction]:

@@ -136,18 +136,24 @@ def test_orthogonality_command(capsys):
     assert out["failures"] == [] and out["worst_defect"] < 1e-9
 
 
-def test_orthogonality_not_converged_raises():
-    # a pair that fails the refinement check ends the command with the
-    # QuadratureNonConvergence traceback and exit code 1
-    from sievedops.numerics import QuadratureNonConvergence
-
+def test_orthogonality_negative_lambda():
+    # lam < 0 makes the weight singular at the partition points; a
+    # quadrature rule once ended this command with a traceback and exit 1
     args = ["orthogonality", "--kind", "first", "--lambda=-1/4", "--k", "4",
             "--max-n", "6"]
-    with pytest.raises(QuadratureNonConvergence):
-        main(args)
     rc, out, err = run_cli(args)
-    assert rc == 1 and out == ""
-    assert "QuadratureNonConvergence" in err
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["failures"] == [] and report["worst_defect"] < 1e-9
+
+
+def test_orthogonality_degree_400(capsys):
+    # a fixed quadrature rule ran short of nodes here (defect 1.4e-10)
+    rc = main(["orthogonality", "--kind", "first", "--lambda", "1/2", "--k", "3",
+               "--max-n", "400"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["failures"] == [] and out["worst_defect"] < 1e-12
 
 
 def test_import_leaves_scipy_out():
@@ -271,12 +277,19 @@ def test_invalid_flags_exit_2():
     assert rc == 2
     rc2, _, _ = run_cli(["no-such-command"])
     assert rc2 == 2
+    family = ["--kind", "first", "--lambda", "3/2", "--k", "5"]
+    for command in ("verify-mapping", "verify-structure", "verify-ode",
+                    "orthogonality"):
+        assert main([command, *family, "--max-n", "-1"]) == 2
+    assert main(["verify-identities", "--max-n", "-1"]) == 2
 
 
 def test_invalid_lambda_exit_2():
-    rc, _, err = run_cli(["gen-poly", "--kind", "first", "--lambda", "0.5x",
-                          "--k", "3", "--n", "1"])
-    assert rc == 2
+    for lam in ("0.5x", "1/0"):
+        rc, _, err = run_cli(["gen-poly", "--kind", "first", "--lambda", lam,
+                              "--k", "3", "--n", "1"])
+        assert rc == 2
+        assert "error" in json.loads(err)
 
 
 def test_determinism_byte_identical():

@@ -52,6 +52,9 @@ def test_charge_system_validation():
         ChargeSystem(k=2, l=1, q=1.0)
     with pytest.raises(ValueError):
         ChargeSystem(k=3, l=0, q=1.0)
+    for q in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ChargeSystem(k=3, l=1, q=q)
     with pytest.warns(UserWarning):
         ChargeSystem(k=3, l=1, q=0.1)
     assert SYS.n == 10

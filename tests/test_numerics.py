@@ -1,4 +1,4 @@
-"""Zeros, weights, quadrature orthogonality, and interval counting."""
+"""Zeros, weights, moment orthogonality, and interval counting."""
 
 import math
 from fractions import Fraction as F
@@ -10,8 +10,8 @@ from numpy.polynomial.polynomial import polyval
 from sievedops.numerics import (
     DegenerateConfigurationError,
     DomainError,
-    QuadratureNonConvergence,
     UnsupportedRangeError,
+    chebyshev_moments,
     chebyshev_u_float,
     float_coeffs,
     float_gammas,
@@ -130,13 +130,6 @@ def test_orthogonality_defect_basic():
     assert orthogonality_defect(fam, 3, 3) == 1.0
 
 
-def test_orthogonality_self_consistency():
-    fam = SievedFamily(SECOND, F(3, 2), 4)
-    a = orthogonality_defect(fam, 3, 8, panels_per_arc=8, check_convergence=False)
-    b = orthogonality_defect(fam, 3, 8, panels_per_arc=16, check_convergence=False)
-    assert abs(a - b) < 1e-10
-
-
 @pytest.mark.parametrize("kind", [FIRST, SECOND])
 @pytest.mark.parametrize("lam", [F(1, 2), F(3, 2)])
 def test_orthogonality_degree_30(kind, lam):
@@ -162,12 +155,88 @@ def test_orthogonality_defects_one_gram_matrix():
         orthogonality_defect(fam, -1, 2)
 
 
-def test_orthogonality_singular_weight_not_converged():
-    # density |sin 4 theta|^{-1/2}: Gauss-Legendre panels converge slowly at
-    # the singular arc ends, and the refinement check must say so
+@pytest.mark.parametrize("kind,lam,k,n", [
+    (SECOND, F(2), 3, 300), (FIRST, F(4), 3, 300), (SECOND, F(4), 4, 200),
+    (FIRST, F(-1, 4), 4, 600),
+])
+def test_gram_matrix_accurate_at_high_degree(kind, lam, k, n):
+    # for lam >= 2 the Chebyshev coefficients of 2^m p_m reach 1e3 and more;
+    # with the mixed moments in binary64 the defects here are 1e-9 to 1e-5
+    fam = SievedFamily(kind, lam, k)
+    g = gram_matrix(fam, n)
+    d = np.sqrt(np.diag(g))
+    off = np.abs(g / np.outer(d, d)) - np.eye(n + 1)
+    assert np.max(off) < 1e-12
+    # <p_n, p_n> / <p_{n-1}, p_{n-1}> = gamma_n, with 2^n scaling
+    ratio = np.diag(g)[1:] / np.diag(g)[:-1] / (4.0 * float_gammas(fam, n + 1)[1:])
+    assert np.max(np.abs(ratio - 1.0)) < 1e-14
+
+
+def test_orthogonality_singular_weight():
+    # density |sin 4 theta|^{-1/2}, infinite at the arc ends, where a
+    # quadrature rule in theta converged too slowly to pass a refinement
+    # check; the moments are exact whatever the sign of lam
     fam = SievedFamily(FIRST, F(-1, 4), 4)
-    with pytest.raises(QuadratureNonConvergence):
-        orthogonality_defect(fam, 3, 5)
+    assert orthogonality_defect(fam, 3, 5) < 1e-9
+    pairs = [(m, n) for n in range(31) for m in range(n)]
+    for kind in (FIRST, SECOND):
+        for lam in (F(-1, 4), F(-1, 3)):
+            assert max(orthogonality_defects(SievedFamily(kind, lam, 4), pairs)) < 1e-9
+
+
+def _chebyshev_coeffs(p):
+    """Exact T-basis coefficients of p, by Horner's rule with
+    x T_0 = T_1 and x T_d = (T_{d+1} + T_{d-1}) / 2."""
+    out = []
+    for a in reversed(p.coeffs):
+        shifted = [F(0)] * (len(out) + 1)
+        for d, c in enumerate(out):
+            if d == 0:
+                shifted[1] += c
+            else:
+                shifted[d + 1] += c / 2
+                shifted[d - 1] += c / 2
+        shifted[0] += a
+        out = shifted
+    return out
+
+
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+@pytest.mark.parametrize("lam", [F(3, 2), F(1, 2), F(-1, 4), F(-1, 3), F(7, 3)])
+def test_moments_favard_exact(kind, lam):
+    # with the exact moments the monic sieved polynomials are orthogonal and
+    # their norms follow <p_n, p_n> = gamma_n <p_{n-1}, p_{n-1}> (Favard)
+    top = 16
+    for k in (3, 4, 5):
+        fam = SievedFamily(kind, lam, k)
+        mu = chebyshev_moments(fam, 2 * top)
+        assert mu[0] == 1 and len(mu) == 2 * top + 1
+        cs = [_chebyshev_coeffs(sieved_monic(fam, n)) for n in range(top + 1)]
+        gram = []
+        for cn in cs:
+            # (M c_n)[a] = <T_a, p_n>
+            mc = [sum((mu[a + b] + mu[abs(a - b)]) / 2 * c for b, c in enumerate(cn))
+                  for a in range(top + 1)]
+            gram.append([sum(c * v for c, v in zip(cm, mc)) for cm in cs])
+        for n in range(1, top + 1):
+            assert all(gram[n][m] == 0 for m in range(n)), (k, n)
+            assert gram[n][n] / gram[n - 1][n - 1] == gamma_flat(fam, n), (k, n)
+
+
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+@pytest.mark.parametrize("lam", [F(0), F(1), F(2)])
+def test_moments_match_weight(kind, lam):
+    # for integer lam, weight(cos t) sin t cos(d t) is a trigonometric
+    # polynomial of degree below 2 * 200, which the 200-point midpoint rule
+    # on (0, pi) integrates exactly up to rounding
+    theta = (np.arange(200) + 0.5) * math.pi / 200
+    for k in (3, 4):
+        fam = SievedFamily(kind, lam, k)
+        dens = np.array([weight(fam, math.cos(t)) for t in theta]) * np.sin(theta)
+        top = 4 * k + 3
+        got = [np.sum(dens * np.cos(d * theta)) for d in range(top + 1)]
+        expect = [float(v) for v in chebyshev_moments(fam, top)]
+        assert np.max(np.abs(np.array(got) / got[0] - expect)) < 1e-13, k
 
 
 def test_orthogonality_range_error():
