@@ -64,12 +64,16 @@ def table_cache(factory):
     return table
 
 
-def three_term_step(gamma):
-    """Step for the monic recurrence p_{i+1} = x p_i - gamma(i) p_{i-1}."""
+def three_term_step(gamma, y: Poly = Poly.x()):
+    """Step for the recurrence p_{i+1} = y p_i - gamma(i) p_{i-1}.
+
+    With y = x (the default) this is the monic recurrence in x; with y a
+    polynomial it steps the same sequence composed with y.
+    """
 
     def step(table: list) -> Poly:
         i = len(table) - 1
-        return Poly.x() * table[i] - table[i - 1].scale(gamma(i))
+        return y * table[i] - table[i - 1].scale(gamma(i))
 
     return step
 

@@ -93,16 +93,7 @@ def cmd_verify_identities(args) -> int:
 
 def cmd_verify_mapping(args) -> int:
     fam = _family(args)
-    k = fam.k
-    cells = []
-    for big_n in range(args.max_n + 1):
-        n, j = divmod(big_n, k)
-        if fam.kind == SievedKind.FIRST:
-            # first-kind mapping indexes j in [1, k]
-            n, j = (n - 1, k) if j == 0 and n > 0 else (n, j)
-            if j == 0:
-                continue
-        cells.append((n, j))
+    cells = recurrence.mapping_cells(fam, args.max_n)
     failures = [
         [n, j]
         for n, j in cells
@@ -113,7 +104,7 @@ def cmd_verify_mapping(args) -> int:
             "command": "verify-mapping",
             "kind": args.kind,
             "lambda": args.lam,
-            "k": k,
+            "k": fam.k,
             "max_n": args.max_n,
             "cells_checked": len(cells),
             "failures": failures,
@@ -241,7 +232,10 @@ def cmd_equilibrium(args) -> int:
     init = None
     if args.init_file:
         with open(args.init_file) as fh:
-            init = json.load(fh)
+            # an integer past the float range reads as inf, which is infeasible
+            init = json.load(fh, parse_int=float)
+        if not isinstance(init, list) or not all(type(v) is float for v in init):
+            raise ValueError("--init-file must hold a JSON array of numbers")
     res = electrostatics.solve_equilibrium(sys_, init=init)
     _emit(
         {
@@ -263,9 +257,6 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_verify_electrostatics(args) -> int:
-    if args.grid != "default":
-        print(f"unknown grid {args.grid!r}", file=sys.stderr)
-        return 2
     qs = [0.25, 0.5, 0.75, 1.0, 1.5]
     matrix = {
         f"q={q},k={k},l={l}": electrostatics.verify_theorem(
@@ -308,12 +299,13 @@ def cmd_emit_plot(args) -> int:
     if args.figure2:
         outdir = args.outdir or "."
         os.makedirs(outdir, exist_ok=True)
-        for name, poly in figure_polys().items():
+        polys = figure_polys()
+        for name, poly in polys.items():
             path = os.path.join(outdir, f"{name}.csv")
             with open(path, "w") as fh:
                 fh.write(_csv_points(poly, -1.1, 1.1, args.samples))
         print(json.dumps({"schema": SCHEMA, "command": "emit-plot",
-                          "files": sorted(f"{n}.csv" for n in figure_polys())}))
+                          "files": sorted(f"{n}.csv" for n in polys)}))
         return 0
     if not args.poly:
         print("emit-plot needs --figure2 or --poly", file=sys.stderr)
@@ -425,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-electrostatics",
                        help="equilibrium checks over the default grid")
-    p.add_argument("--grid", default="default")
+    p.add_argument("--grid", choices=["default"], default="default")
     add_output(p)
     p.set_defaults(fn=cmd_verify_electrostatics)
 

@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class NotDivisibleError(ArithmeticError):
@@ -31,8 +35,12 @@ def rat_to_str(r: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
+    """Parse 'p/q' or 'p' (integers, optional sign); floats are refused."""
+    text = s.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational 'p/q': {s!r}")
     try:
-        return Fraction(s.strip())
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
 
@@ -168,15 +176,6 @@ class Poly:
         for c in reversed(self.numerators):
             acc = acc * g + Poly.constant(c)
         return acc.scale(Fraction(1, self.denominator))
-
-    def compose_linear(self, c: Union[int, Fraction]) -> "Poly":
-        """f(c*x): cheap special case of compose."""
-        c = _rational(c)
-        cn, cd = c.numerator, c.denominator
-        d = len(self.numerators) - 1
-        # a_i c^i = n_i cn^i cd^(d-i) / (den cd^d)
-        out = [a * cn**i * cd ** (d - i) for i, a in enumerate(self.numerators)]
-        return _canonical(out, self.denominator * cd ** max(d, 0))
 
     # -- serialization ----------------------------------------------------
 

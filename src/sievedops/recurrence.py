@@ -6,10 +6,12 @@ factorization expresses p_{kn+j} through monic Chebyshev polynomials and a
 rescaled ultraspherical sequence q_n; mapping_residual checks that the two
 constructions agree exactly.
 
-Each family keeps one append-only table of p_0, p_1, ... (and each lam one
-table of C_n^lam), held in a cache bounded by TABLE_CACHE_SIZE and extended
-by one recurrence step per new degree, whatever order the degrees are
-asked in.
+q_n obeys a monic three-term recurrence with the ultraspherical
+coefficients beta_n, so Q_n = q_n(T_hat(k)) obeys the same recurrence with
+T_hat(k) in place of x.  Each family keeps one append-only table of
+p_0, p_1, ... and one of Q_0, Q_1, ..., held in caches bounded by
+TABLE_CACHE_SIZE and extended by one recurrence step per new degree,
+whatever order the degrees are asked in.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chebyshev import chebyshev_t, grow, t_hat, table_cache, three_term_step, u_hat
+from .chebyshev import grow, t_hat, table_cache, three_term_step, u_hat
 from .polycore import Poly
 
 QUARTER = Fraction(1, 4)
@@ -115,55 +117,43 @@ def shifted_factorial(a: Fraction, n: int) -> Fraction:
     return out
 
 
-@table_cache
-def _ultraspherical_table(lam: Fraction) -> list:
-    """The append-only table of C_n^lam, lam != 0."""
-    return [Poly.one(), Poly.x().scale(2 * lam)]
+def _q_step(fam: SievedFamily, y: Poly):
+    """Step of the monic recurrence q_{n+1}(y) = y q_n(y) - beta_n q_{n-1}(y).
 
-
-def ultraspherical(lam: Fraction, n: int) -> Poly:
-    """Classical (non-monic) ultraspherical polynomial C_n^lam.
-
-    For lam = 0 the compatible definition C_n^0 = T_n is used.
+    q_n(y) = c^{-n} P_n(c y), c = 2^{k-1}, with P_n the monic ultraspherical
+    polynomial of parameter mu (lam for the first kind, lam + 1 for the
+    second), so beta_n = n (n + 2 mu - 1) / (4 (n + mu) (n + mu - 1)) / c^2;
+    at n = 1 in the cancelled form 1 / (2 (1 + mu)), valid also at mu = 0.
     """
-    lam = Fraction(lam)
-    _check_regular(lam)
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if lam == 0:
-        return chebyshev_t(n)
+    mu = fam.lam if fam.kind == SievedKind.FIRST else fam.lam + 1
+    c2 = Fraction(4) ** (fam.k - 1)
 
-    def step(table: list) -> Poly:
-        # (i + 1) C_{i+1} = 2 (i + lam) x C_i - (i + 2 lam - 1) C_{i-1}
-        i = len(table) - 1
-        return (
-            Poly.x() * table[i].scale(2 * (i + lam))
-            - table[i - 1].scale(i + 2 * lam - 1)
-        ).scale(Fraction(1, i + 1))
+    def beta(n: int) -> Fraction:
+        if n == 1:
+            return 1 / (2 * (1 + mu) * c2)
+        return n * (n + 2 * mu - 1) / (4 * (n + mu) * (n + mu - 1) * c2)
 
-    return grow(_ultraspherical_table(lam), n, step)
+    return three_term_step(beta, y)
 
 
 def mapped_q(fam: SievedFamily, n: int) -> Poly:
-    """Monic q_n of the mapping: a rescaled ultraspherical polynomial.
-
-    First kind uses parameter lam, second kind lam + 1.  For parameter 0
-    the Chebyshev limit 2 * 2^{-kn} T_n(2^{k-1} x) applies (n >= 1).
-    """
+    """Monic q_n of the mapping: a rescaled ultraspherical polynomial."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    lam_q = fam.lam if fam.kind == SievedKind.FIRST else fam.lam + 1
-    if n == 0:
-        return Poly.one()
-    scale_arg = Fraction(2) ** (fam.k - 1)
-    if lam_q == 0:
-        base = chebyshev_t(n).compose_linear(scale_arg)
-        return base.scale(2 * Fraction(2) ** (-fam.k * n))
-    base = ultraspherical(lam_q, n).compose_linear(scale_arg)
-    factor = shifted_factorial(Fraction(1), n) / (
-        Fraction(2) ** (fam.k * n) * shifted_factorial(lam_q, n)
-    )
-    return base.scale(factor)
+    return grow([Poly.one(), Poly.x()], n, _q_step(fam, Poly.x()))
+
+
+@table_cache
+def _composed_table(fam: SievedFamily) -> list:
+    """The family's append-only table: entry n is q_n(T_hat(k))."""
+    return [Poly.one(), t_hat(fam.k)]
+
+
+def composed_q(fam: SievedFamily, n: int) -> Poly:
+    """q_n(T_hat(k)), stepped as Q_{n+1} = T_hat(k) Q_n - beta_n Q_{n-1}."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    return grow(_composed_table(fam), n, _q_step(fam, t_hat(fam.k)))
 
 
 def monic_normalizer(fam: SievedFamily, n: int) -> Fraction:
@@ -226,34 +216,38 @@ def pi_k_from_determinants(fam: SievedFamily) -> Poly:
     )
 
 
+def mapping_cells(fam: SievedFamily, max_n: int) -> list:
+    """The (n, j) that mapping_residual takes with kn + j <= max_n, by kn + j."""
+    lo = 1 if fam.kind == SievedKind.FIRST else 0
+    return [(m // fam.k, m % fam.k + lo) for m in range(max_n + 1 - lo)]
+
+
 def mapping_residual(fam: SievedFamily, n: int, j: int) -> Poly:
     """Exact difference between the recurrence and mapping constructions.
 
+    With Q_n = q_n(T_hat(k)) (composed_q):
     Second kind (j in [0, k-1]):
-        p_{kn+j} - (U_hat(j) q_n(T_hat(k))
-                    + 4^{-j} a_n^(0) U_hat(k-j-2) q_{n-1}(T_hat(k)))
+        p_{kn+j} - (U_hat(j) Q_n + 4^{-j} a_n^(0) U_hat(k-j-2) Q_{n-1})
     First kind (j in [1, k]), multiplied through by U_hat(k-1):
-        U_hat(k-1) p_{kn+j} - (U_hat(j-1) q_{n+1}(T_hat(k))
-                    + 4^{1-j} a_n^(1) U_hat(k-j-1) q_n(T_hat(k)))
+        U_hat(k-1) p_{kn+j} - (U_hat(j-1) Q_{n+1}
+                               + 4^{1-j} a_n^(1) U_hat(k-j-1) Q_n)
+    Both right sides read U_hat(i) Q_m + 4^{-i} a U_hat(k-i-2) Q_{m-1}, with
+    (m, i) = (n, j) for the second kind and (n + 1, j - 1) for the first.
     """
     k = fam.k
-    tk = t_hat(k)
-    if fam.kind == SievedKind.SECOND:
-        if not 0 <= j <= k - 1:
-            raise ValueError(f"second kind needs j in [0, {k - 1}], got {j}")
-        lhs = sieved_monic(fam, k * n + j)
-        rhs = u_hat(j) * mapped_q(fam, n).compose(tk)
-        if n >= 1:
-            a0 = block_coeff(fam, n, 0).a
-            rhs = rhs + (u_hat(k - j - 2) * mapped_q(fam, n - 1).compose(tk)).scale(
-                a0 * Fraction(4) ** (-j)
-            )
-        return lhs - rhs
-    if not 1 <= j <= k:
-        raise ValueError(f"first kind needs j in [1, {k}], got {j}")
-    lhs = u_hat(k - 1) * sieved_monic(fam, k * n + j)
-    a1 = block_coeff(fam, n, 1).a
-    rhs = u_hat(j - 1) * mapped_q(fam, n + 1).compose(tk) + (
-        u_hat(k - j - 1) * mapped_q(fam, n).compose(tk)
-    ).scale(a1 * Fraction(4) ** (1 - j))
+    lo = 1 if fam.kind == SievedKind.FIRST else 0
+    hi = k - 1 + lo
+    if not lo <= j <= hi:
+        raise ValueError(f"{fam.kind.value} kind needs j in [{lo}, {hi}], got {j}")
+    lhs = sieved_monic(fam, k * n + j)
+    if fam.kind == SievedKind.FIRST:
+        lhs = u_hat(k - 1) * lhs
+        m, i, a = n + 1, j - 1, block_coeff(fam, n, 1).a
+    else:
+        m, i, a = n, j, block_coeff(fam, n, 0).a
+    rhs = u_hat(i) * composed_q(fam, m)
+    if m >= 1:
+        rhs += (u_hat(k - i - 2) * composed_q(fam, m - 1)).scale(
+            a * Fraction(4) ** (-i)
+        )
     return lhs - rhs

@@ -88,6 +88,14 @@ def test_verify_ode_and_mapping(capsys):
     assert out["failures"] == []
 
 
+@pytest.mark.parametrize("kind,lam,k", [("first", "3/2", 5), ("second", "-1/4", 3)])
+def test_verify_mapping_degree_400(kind, lam, k, capsys):
+    rc = main(["verify-mapping", "--kind", kind, f"--lambda={lam}", "--k", str(k),
+               "--max-n", "400"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and out["failures"] == []
+
+
 @pytest.mark.parametrize("kind", ["first", "second"])
 def test_structure_and_ode_at_degree_200(kind, capsys):
     family = ["--kind", kind, "--lambda", "3/2", "--k", "5", "--max-n", "200"]
@@ -183,6 +191,26 @@ def test_equilibrium_large_system_converges(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0 and out["converged"]
     assert out["iterations"] <= 30 and len(out["x_star"]) == 600
+
+
+def test_equilibrium_init_file(tmp_path, capsys):
+    path = tmp_path / "init.json"
+    path.write_text("[-0.9, 0, 0.9]")
+    rc = main(["equilibrium", "--k", "3", "--l", "1", "--q", "1.0",
+               "--init-file", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0 and out["converged"] and len(out["x_star"]) == 3
+
+
+@pytest.mark.parametrize("init", [{"a": 1}, [-0.9, 0.9], ["-0.9", "0.0", "0.9"],
+                                  [True, 0.0, 0.9], [-(10**400), 0.0, 0.9]])
+def test_equilibrium_init_file_rejected(init, tmp_path, capsys):
+    path = tmp_path / "init.json"
+    path.write_text(json.dumps(init))
+    rc = main(["equilibrium", "--k", "3", "--l", "1", "--q", "1.0",
+               "--init-file", str(path)])
+    assert rc == 2
+    assert "error" in json.loads(capsys.readouterr().err)
 
 
 def test_equilibrium_has_no_tol_flag(capsys):
@@ -282,10 +310,11 @@ def test_invalid_flags_exit_2():
                     "orthogonality"):
         assert main([command, *family, "--max-n", "-1"]) == 2
     assert main(["verify-identities", "--max-n", "-1"]) == 2
+    assert main(["verify-electrostatics", "--grid", "nope"]) == 2
 
 
 def test_invalid_lambda_exit_2():
-    for lam in ("0.5x", "1/0"):
+    for lam in ("0.5x", "1/0", "1e1", "0.5"):
         rc, _, err = run_cli(["gen-poly", "--kind", "first", "--lambda", lam,
                               "--k", "3", "--n", "1"])
         assert rc == 2

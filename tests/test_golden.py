@@ -4,6 +4,8 @@ The float CSV values come from evaluating the exact polynomial in binary64;
 any change to how that evaluation is done shows up here.
 """
 
+import pytest
+
 from sievedops.cli import main
 
 EMIT_PLOT_C10 = """\
@@ -45,6 +47,32 @@ VERIFY_STRUCTURE_FIRST_K4 = """\
 }
 """
 
+VERIFY_MAPPING_FIRST_K5 = """\
+{
+  "cells_checked": 12,
+  "command": "verify-mapping",
+  "failures": [],
+  "k": 5,
+  "kind": "first",
+  "lambda": "3/2",
+  "max_n": 12,
+  "schema": 1
+}
+"""
+
+VERIFY_MAPPING_SECOND_K3 = """\
+{
+  "cells_checked": 13,
+  "command": "verify-mapping",
+  "failures": [],
+  "k": 3,
+  "kind": "second",
+  "lambda": "-1/4",
+  "max_n": 12,
+  "schema": 1
+}
+"""
+
 
 def test_emit_plot_poly_golden(capsys):
     rc = main(["emit-plot", "--poly", "first:3/2:5:10", "--samples", "11"])
@@ -57,3 +85,13 @@ def test_verify_structure_golden(capsys):
                "--k", "4", "--max-n", "9"])
     assert rc == 0
     assert capsys.readouterr().out == VERIFY_STRUCTURE_FIRST_K4
+
+
+@pytest.mark.parametrize("family,golden", [
+    (["--kind", "first", "--lambda", "3/2", "--k", "5"], VERIFY_MAPPING_FIRST_K5),
+    (["--kind", "second", "--lambda=-1/4", "--k", "3"], VERIFY_MAPPING_SECOND_K3),
+])
+def test_verify_mapping_golden(family, golden, capsys):
+    rc = main(["verify-mapping", *family, "--max-n", "12"])
+    assert rc == 0
+    assert capsys.readouterr().out == golden

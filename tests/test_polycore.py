@@ -78,8 +78,6 @@ def test_float_coefficient_raises():
         Poly([1, 0.5])
     with pytest.raises(TypeError):
         Poly.x().evaluate(0.5)
-    with pytest.raises(TypeError):
-        Poly.x().compose_linear(0.5)
 
 
 def test_evaluate_zero_poly():
@@ -150,6 +148,9 @@ def test_rat_round_trip():
     assert rat_to_str(F(5)) == "5"
     assert rat_from_str("-3/7") == F(-3, 7)
     assert rat_from_str("5") == F(5)
+    for text in ("1e1", "0.5", "1/0"):
+        with pytest.raises(ValueError):
+            rat_from_str(text)
 
 
 def test_poly_serialization_round_trip():
@@ -260,7 +261,6 @@ def test_ops_match_fraction_reference(a, b, c, x):
         (f.scale(c), _ref_trim(c * v for v in a)),
         (f.derivative(), _ref_trim(i * v for i, v in enumerate(a))[1:]),
         (f.compose(g), _ref_compose(a, b)),
-        (f.compose_linear(c), _ref_trim(v * c**i for i, v in enumerate(a))),
     ]
     for p, ref in cases:
         _assert_canonical(p)

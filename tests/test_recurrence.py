@@ -1,5 +1,6 @@
 """Block recurrences, determinants, and the polynomial-mapping factorization."""
 
+import math
 import sys
 import threading
 from fractions import Fraction as F
@@ -9,7 +10,6 @@ import pytest
 from sievedops import recurrence
 from sievedops.chebyshev import (
     TABLE_CACHE_SIZE,
-    chebyshev_t,
     t_hat,
     table_cache,
     u_hat,
@@ -21,14 +21,15 @@ from sievedops.recurrence import (
     SievedKind,
     block_coeff,
     classical_sieved,
+    composed_q,
     delta,
     gamma_flat,
     mapped_q,
+    mapping_cells,
     mapping_residual,
     monic_normalizer,
     pi_k_from_determinants,
     sieved_monic,
-    ultraspherical,
 )
 
 FIRST, SECOND = SievedKind.FIRST, SievedKind.SECOND
@@ -118,11 +119,61 @@ def test_classical_normalization_figure_values():
     assert monic_normalizer(FAM_C10, 0) == 1
 
 
+def _rising(a, n):
+    return math.prod((a + i for i in range(n)), start=F(1))
+
+
+def _ultraspherical_at(mu, n, c):
+    """C_n^mu(c x / 2) from the explicit sum; T_n(c x / 2) for mu = 0.
+
+    C_n^mu(x) = sum_m (-1)^m (mu)_{n-m} / (m! (n-2m)!) (2x)^{n-2m}, and
+    T_n(x) = (n/2) sum_m (-1)^m (n-m-1)! / (m! (n-2m)!) (2x)^{n-2m}, n >= 1.
+    """
+    if mu == 0 and n == 0:
+        return Poly.one()
+    coeffs = [F(0)] * (n + 1)
+    for m in range(n // 2 + 1):
+        if mu == 0:
+            top = F(n, 2) * math.factorial(n - m - 1)
+        else:
+            top = _rising(mu, n - m)
+        coeffs[n - 2 * m] = (
+            (-1) ** m * top / (math.factorial(m) * math.factorial(n - 2 * m))
+            * F(c) ** (n - 2 * m)
+        )
+    return Poly.exact(coeffs)
+
+
 def test_ultraspherical_examples():
     lam = F(3, 2)
-    assert ultraspherical(lam, 1) == Poly.exact([0, 2 * lam])
-    assert ultraspherical(F(0), 3) == Poly.exact([0, -3, 0, 4])
-    assert ultraspherical(F(3, 2), 2) == Poly.exact([F(-3, 2), 0, F(15, 2)])
+    assert _ultraspherical_at(lam, 1, 2) == Poly.exact([0, 2 * lam])
+    assert _ultraspherical_at(F(0), 3, 2) == Poly.exact([0, -3, 0, 4])
+    assert _ultraspherical_at(F(3, 2), 2, 2) == Poly.exact([F(-3, 2), 0, F(15, 2)])
+    # q_n(x) = n! / (2^{kn} (mu)_n) C_n^mu(2^{k-1} x), and 2^{1-kn} T_n(2^{k-1} x)
+    # in the Chebyshev limit mu = 0
+    for kind in (FIRST, SECOND):
+        for lam in (F(0), F(1, 2), F(3, 2), F(-1, 4), F(-1, 3), F(7, 3)):
+            for k in (3, 5):
+                fam = SievedFamily(kind, lam, k)
+                mu = lam if kind == FIRST else lam + 1
+                for n in range(13):
+                    if mu == 0:
+                        factor = F(2) ** (1 - k * n) if n else F(1)
+                    else:
+                        factor = math.factorial(n) / (
+                            F(2) ** (k * n) * _rising(mu, n)
+                        )
+                    expect = _ultraspherical_at(mu, n, 2**k).scale(factor)
+                    assert mapped_q(fam, n) == expect, (fam, n)
+
+
+def test_composed_q_is_q_of_t_hat():
+    for kind in (FIRST, SECOND):
+        for lam in (F(0), F(3, 2), F(-1, 4)):
+            fam = SievedFamily(kind, lam, 4)
+            tk = t_hat(fam.k)
+            for n in range(9):
+                assert composed_q(fam, n) == mapped_q(fam, n).compose(tk), (fam, n)
 
 
 def test_mapped_q_base_cases():
@@ -246,34 +297,36 @@ def test_gamma_flat_positive_in_pd_range():
 
 
 def fresh_tables(monkeypatch):
-    """Empty per-family and per-lambda table caches, restored after the test."""
-    for name in ("_monic_table", "_ultraspherical_table"):
+    """Empty per-family table caches, restored after the test."""
+    for name in ("_monic_table", "_composed_table"):
         factory = getattr(recurrence, name).__wrapped__
         monkeypatch.setattr(recurrence, name, table_cache(factory))
 
 
 def test_tables_independent_of_call_order(monkeypatch):
-    fam, lam = SievedFamily(SECOND, F(2, 7), 4), F(5, 3)
+    fam, fam_q = SievedFamily(SECOND, F(2, 7), 4), SievedFamily(FIRST, F(5, 3), 3)
+    fam_t = SievedFamily(FIRST, F(0), 3)
     fresh_tables(monkeypatch)
-    high = (sieved_monic(fam, 70), ultraspherical(lam, 70))
-    low = (sieved_monic(fam, 3), ultraspherical(lam, 3), ultraspherical(0, 9))
+    high = (sieved_monic(fam, 70), composed_q(fam_q, 70))
+    low = (sieved_monic(fam, 3), composed_q(fam_q, 3), composed_q(fam_t, 9))
     fresh_tables(monkeypatch)
-    in_order = [(sieved_monic(fam, n), ultraspherical(lam, n)) for n in range(71)]
+    in_order = [(sieved_monic(fam, n), composed_q(fam_q, n)) for n in range(71)]
     assert high == in_order[70]
-    assert low == (*in_order[3], chebyshev_t(9))
+    # at lam = 0, q_n(T_hat(k)) = T_hat(kn)
+    assert low == (*in_order[3], t_hat(27))
 
 
 def test_tables_grow_safely_under_threads(monkeypatch):
-    fam, lam = SievedFamily(FIRST, F(3, 4), 3), F(1, 3)
+    fam, fam_q = SievedFamily(FIRST, F(3, 4), 3), SievedFamily(SECOND, F(1, 3), 3)
     expect = (
         [sieved_monic(fam, n) for n in range(90)],
-        [ultraspherical(lam, n) for n in range(90)],
+        [composed_q(fam_q, n) for n in range(90)],
     )
 
     def fill(k):
         for n in range(89 - k, 0, -7):  # highest first: every thread grows
             sieved_monic(fam, n)
-            ultraspherical(lam, n)
+            composed_q(fam_q, n)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -287,26 +340,26 @@ def test_tables_grow_safely_under_threads(monkeypatch):
                 t.join(timeout=30)
                 assert not t.is_alive()
             assert recurrence._monic_table(fam) == expect[0]
-            assert recurrence._ultraspherical_table(lam) == expect[1]
+            assert recurrence._composed_table(fam_q) == expect[1]
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_table_cache_evicts_and_rebuilds(monkeypatch):
     fresh_tables(monkeypatch)
-    first, lam = SievedFamily(FIRST, F(1, 2), 3), F(1, 2)
+    first = SievedFamily(FIRST, F(1, 2), 3)
     expect = [sieved_monic(first, n) for n in range(12)]
-    expect_c = [ultraspherical(lam, n) for n in range(12)]
-    table, table_c = recurrence._monic_table(first), recurrence._ultraspherical_table(lam)
+    expect_c = [composed_q(first, n) for n in range(12)]
+    table, table_c = recurrence._monic_table(first), recurrence._composed_table(first)
     for i in range(1, TABLE_CACHE_SIZE + 2):
         sieved_monic(SievedFamily(FIRST, F(1, 2), 3 + i), 2)
-        ultraspherical(F(1, 2) + i, 2)
+        composed_q(SievedFamily(FIRST, F(1, 2) + i, 3), 2)
     assert recurrence._monic_table.cache_info().currsize == TABLE_CACHE_SIZE
-    assert recurrence._ultraspherical_table.cache_info().currsize == TABLE_CACHE_SIZE
+    assert recurrence._composed_table.cache_info().currsize == TABLE_CACHE_SIZE
     assert recurrence._monic_table(first) is not table
-    assert recurrence._ultraspherical_table(lam) is not table_c
+    assert recurrence._composed_table(first) is not table_c
     assert [sieved_monic(first, n) for n in range(12)] == expect
-    assert [ultraspherical(lam, n) for n in range(12)] == expect_c
+    assert [composed_q(first, n) for n in range(12)] == expect_c
 
 
 def test_failed_step_leaves_table_intact(monkeypatch):
@@ -343,3 +396,36 @@ def test_sieved_monic_sweep_one_product_per_degree(monkeypatch):
     for n in range(121):
         sieved_monic(fam, n)
     assert calls[0] <= 121  # rebuilding from degree 0 each time makes ~7,000
+
+
+def test_mapping_cells_ranges():
+    assert mapping_cells(SievedFamily(FIRST, F(1, 2), 3), 7) == [
+        (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1)]
+    assert mapping_cells(SievedFamily(SECOND, F(1, 2), 3), 7) == [
+        (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
+    assert mapping_cells(SievedFamily(FIRST, F(1, 2), 3), 0) == []
+    for fam in (FAM_C10, FAM_B14):
+        cells = mapping_cells(fam, 40)
+        assert [fam.k * n + j for n, j in cells] == list(
+            range(1 if fam.kind == FIRST else 0, 41)
+        )
+
+
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+def test_mapping_sweep_few_products_per_cell(kind, monkeypatch):
+    fam = SievedFamily(kind, F(4, 9), 4)
+    fresh_tables(monkeypatch)
+    cells = mapping_cells(fam, 120)
+    for n in range(121):
+        sieved_monic(fam, n)
+    real, calls = Poly.__mul__, [0]
+
+    def counting(self, other):
+        calls[0] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    for n, j in cells:
+        assert mapping_residual(fam, n, j).is_zero(), (n, j)
+    # recomposing q_n(T_hat(k)) by Horner for every cell makes about 33
+    assert calls[0] <= 4 * len(cells)
