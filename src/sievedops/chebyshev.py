@@ -16,6 +16,7 @@ from .polycore import Poly
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
+ONE_MINUS_X2 = Poly.exact([1, 0, -1])
 
 
 class ChebKind(enum.Enum):
@@ -145,11 +146,10 @@ def identity_residual(tag: str, n: int, m: int | None = None) -> Poly:
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
     x = Poly.x()
-    one_minus_x2 = Poly.exact([1, 0, -1])
     if tag == "pythagorean":
         return (
             t_hat(n) * t_hat(n)
-            + one_minus_x2 * (u_hat(n - 1) * u_hat(n - 1))
+            + ONE_MINUS_X2 * (u_hat(n - 1) * u_hat(n - 1))
             - Poly.constant(Fraction(4) ** (1 - n))
         )
     if tag == "turan":
@@ -160,7 +160,7 @@ def identity_residual(tag: str, n: int, m: int | None = None) -> Poly:
         )
     if tag == "mixed":
         un = u_hat(n)
-        return x * un - one_minus_x2 * un.derivative() - t_hat(n + 1).scale(n + 1)
+        return x * un - ONE_MINUS_X2 * un.derivative() - t_hat(n + 1).scale(n + 1)
     if tag == "deriv":
         return t_hat(n).derivative() - u_hat(n - 1).scale(n)
     if tag == "sum":

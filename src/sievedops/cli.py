@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -335,6 +336,15 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+# built once per process (about 4 ms); parse_args leaves the parser as it was
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sieved-ops",
@@ -395,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeros", help="zeros via the Jacobi matrix")
     add_family(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     add_output(p)
     p.set_defaults(fn=cmd_zeros)
 
@@ -403,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="orthogonality defects from exact moments")
     add_family(p)
     p.add_argument("--max-n", type=_non_negative, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     add_output(p)
     p.set_defaults(fn=cmd_orthogonality)
 

@@ -9,6 +9,13 @@ polynomial (whose numerator tuple is empty).  The form is canonical, so
 equality and hashing compare it directly, and every ring operation works on
 ints and ends in one gcd normalisation instead of building a Fraction per
 coefficient.
+
+A product of numerator lists whose shorter factor has fewer than
+KRONECKER_MIN_TERMS terms runs the schoolbook loop.  Above it the product
+goes through Kronecker substitution: each factor is packed into one int,
+the two ints are multiplied once (by CPython's Karatsuba) and the
+coefficients are read back off the bytes of the product.  Two long factors
+that both have a parity are first reduced to their nonzero halves.
 """
 
 from __future__ import annotations
@@ -237,19 +244,83 @@ def _add(f: Poly, g: Poly, sign: int) -> Poly:
     return _canonical(out, den)
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
-    """Schoolbook product of two nonempty ascending int coefficient lists.
+# Kronecker substitution replaces the schoolbook loop once the shorter
+# factor has this many terms (after parity compression); measured break-even
+KRONECKER_MIN_TERMS = 12
 
-    Zero coefficients are skipped on both sides: the Chebyshev and sieved
-    polynomials have a parity, so about half of their coefficients are zero.
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
+    """Product of two trimmed, nonempty ascending int coefficient lists.
+
+    Short factors use the schoolbook loop, which skips the zero coefficients
+    on both sides.  Long factors that both have a parity, as every Chebyshev
+    and sieved polynomial does, are multiplied as their nonzero halves; long
+    products go through Kronecker substitution.
     """
+    if len(a) < KRONECKER_MIN_TERMS or len(b) < KRONECKER_MIN_TERMS:
+        # inline: most products are short, and a call would cost them more
+        out = [0] * (len(a) + len(b) - 1)
+        nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in nonzero_b:
+                    out[i + j] += ai * bj
+        return out
+    pa, pb = _parity(a), _parity(b)
+    if pa is None or pb is None:
+        return _kronecker(a, b)
+    # a trimmed list ends at an index of its parity, so the halves fill
+    # exactly the slots of parity pa + pb
+    ha = a[pa::2]
+    hb = ha if a is b else b[pb::2]
     out = [0] * (len(a) + len(b) - 1)
-    nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in nonzero_b:
-                out[i + j] += ai * bj
+    out[pa + pb :: 2] = _convolve(ha, hb)
     return out
+
+
+def _parity(a: Sequence[int]):
+    """0 if every odd-index coefficient is zero, 1 if every even one, else None."""
+    if not any(a[1::2]):
+        return 0
+    if not any(a[::2]):
+        return 1
+    return None
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int]) -> list:
+    """Product by Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009).
+
+    Both factors are evaluated at 2^w and multiplied as two ints (squared
+    when a is b).  Every product coefficient c has |c| < 2^(w-1), so adding
+    2^(w-1) to each w-bit slot makes every slot a nonnegative digit, and
+    the coefficients are read back off the bytes of the sum.
+    """
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8  # slot width in bytes
+    packed = _pack(a, 8 * width)
+    product = packed * packed if a is b else packed * _pack(b, 8 * width)
+    size = len(a) + len(b) - 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    raw = (product + bias).to_bytes(width * size, "little")
+    from_bytes = int.from_bytes
+    return [
+        from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, width * size, width)
+    ]
+
+
+def _pack(a: Sequence[int], w: int) -> int:
+    """The value at 2^w of the polynomial with coefficients a (Horner)."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << w) + c
+    return acc
 
 
 _ZERO = _make((), 1)

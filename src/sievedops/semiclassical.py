@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chebyshev import TABLE_CACHE_SIZE, grow, t_hat, table_cache, u_hat
+from .chebyshev import ONE_MINUS_X2, TABLE_CACHE_SIZE, grow, t_hat, table_cache, u_hat
 from .polycore import Poly, divide_exact, poly_gcd
 from .recurrence import SievedFamily, SievedKind, gamma_flat, sieved_monic
 
@@ -59,10 +59,9 @@ class OdeData:
 def pearson_data(fam: SievedFamily) -> PearsonData:
     k, lam = fam.k, fam.lam
     x = Poly.x()
-    one_minus_x2 = Poly.exact([1, 0, -1])
     uk1 = u_hat(k - 1)
     tk = t_hat(k)
-    phi = one_minus_x2 * uk1
+    phi = ONE_MINUS_X2 * uk1
     if fam.kind == SievedKind.SECOND:
         psi = -((x * uk1).scale(2) + tk.scale(k * (2 * lam + 1)))
         c = -(x * uk1 + tk.scale(2 * k * lam))

@@ -311,6 +311,21 @@ def test_invalid_flags_exit_2():
         assert main([command, *family, "--max-n", "-1"]) == 2
     assert main(["verify-identities", "--max-n", "-1"]) == 2
     assert main(["verify-electrostatics", "--grid", "nope"]) == 2
+    for tol in ("nan", "inf", "0", "-1"):
+        assert main(["zeros", *family, "--n", "5", "--tol", tol]) == 2
+        assert main(["orthogonality", *family, "--max-n", "3",
+                     "--tol", tol]) == 2
+
+
+def test_valid_call_after_a_failed_one(capsys):
+    args = ["gen-poly", "--kind", "second", "--lambda=-1/4", "--k", "3",
+            "--n", "7"]
+    rc, alone, _ = run_cli(args)
+    assert rc == 0
+    assert main(["gen-poly", "--kind", "third", *args[3:]]) == 2
+    capsys.readouterr()
+    assert main(args) == 0
+    assert capsys.readouterr().out == alone
 
 
 def test_invalid_lambda_exit_2():

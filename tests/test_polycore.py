@@ -4,11 +4,14 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sievedops import polycore
+from sievedops.chebyshev import t_hat
 from sievedops.numerics import float_coeffs
 from sievedops.polycore import (
+    KRONECKER_MIN_TERMS,
     NotDivisibleError,
     Poly,
     divide_exact,
@@ -286,3 +289,89 @@ def test_float_coeffs_bit_identical(a):
     p = Poly.exact(a)
     got = [v.hex() for v in float_coeffs(p)]
     assert got == ([float(c).hex() for c in p.coeffs] or [(0.0).hex()])
+
+
+# -- the product kernel on factors long enough for Kronecker substitution ----
+
+# huge numerators over small denominators, so the common denominator of a
+# long list stays small; zeros mixed in as interior gaps
+long_rationals = st.builds(
+    F,
+    st.one_of(huge, huge.map(lambda v: -v), st.integers(-50, 50), st.just(0)),
+    st.integers(1, 8),
+)
+long_lists = st.lists(long_rationals, min_size=20, max_size=90)
+parities = st.sampled_from([None, 0, 1])
+
+
+def _with_parity(a, parity):
+    """a with the coefficients off the given parity set to zero."""
+    if parity is None:
+        return a
+    return [v if i % 2 == parity else F(0) for i, v in enumerate(a)]
+
+
+def test_long_lists_cross_the_crossover():
+    # a 20-term factor with a parity has 10 terms after compression and a
+    # 90-term one 45, so the strategy reaches both sides of the crossover
+    assert 20 // 2 < KRONECKER_MIN_TERMS <= 90 // 2
+
+
+# the smallest example is two 20-term lists by design
+@given(long_lists, long_lists, parities, parities)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.large_base_example],
+)
+def test_long_products_match_fraction_reference(a, b, pa, pb):
+    a, b = _with_parity(a, pa), _with_parity(b, pb)
+    f, g = Poly.exact(a), Poly.exact(b)
+    a, b = _ref_trim(a), _ref_trim(b)
+    fg = _ref_mul(a, b)
+    for p, ref in [(f * g, fg), (g * f, fg), (f * f, _ref_mul(a, a))]:
+        _assert_canonical(p)
+        assert p.coeffs == ref
+
+
+@pytest.mark.parametrize("n,bits", [(31, 9), (31, 65), (127, 4), (127, 64)])
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, -1)])
+def test_kronecker_slots_at_their_bound(n, bits, signs):
+    top = 2**bits - 1
+    # the largest product coefficient n * top**2 has as many bits as the
+    # packing allows, and 2 * bits + bit_length(n) + 1 is a whole number of
+    # bytes here, so it sits just under the top of its slot
+    assert (n * top * top).bit_length() == 2 * bits + n.bit_length()
+    for extra in (0, 5):
+        a = [signs[0] * top] * n
+        b = [signs[1] * top] * (n + extra)
+        f, g = Poly.exact(a), Poly.exact(b)
+        size = 2 * n + extra - 1
+        # coefficient i counts the pairs (r, s) with r + s = i
+        want = tuple(
+            signs[0] * signs[1] * top * top * min(i + 1, n, size - i)
+            for i in range(size)
+        )
+        assert (f * g).numerators == want
+        assert (g * f).numerators == want
+    square = Poly.exact([signs[0] * top] * n)
+    assert (square * square).numerators == tuple(
+        top * top * min(i + 1, n, 2 * n - 1 - i) for i in range(2 * n - 1)
+    )
+
+
+def test_kronecker_dispatch(monkeypatch):
+    calls = []
+    kronecker = polycore._kronecker
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return kronecker(a, b)
+
+    monkeypatch.setattr(polycore, "_kronecker", counted)
+    t80 = t_hat(80)
+    assert t80 * t80 == Poly.exact(_ref_mul(t80.coeffs, t80.coeffs))
+    assert calls == [(41, 41)]  # the even halves of T_hat(80)
+    calls.clear()
+    assert Poly.x() * t80 == Poly.exact((0,) + t80.coeffs)
+    assert calls == []
