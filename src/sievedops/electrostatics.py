@@ -16,15 +16,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
-from .numerics import (
-    _scaled_derivatives,
-    float_coeffs,
-    interval_counts,
-    partition_points,
-    zeros,
-)
+from .chebyshev import ONE_MINUS_X2, u_hat
+from .numerics import _scaled_derivatives, interval_counts, partition_points, zeros
+from .polycore import Poly
 from .recurrence import SievedFamily, SievedKind
 
 
@@ -307,8 +302,12 @@ def partial_fraction_rhs(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_theorem(sys: ChargeSystem, seed: int = 0x5EED) -> dict:
-    """All equilibrium checks for one system; see the keys of the result."""
+def verify_theorem(sys: ChargeSystem, seed: int | None = None) -> dict:
+    """All equilibrium checks for one system; see the keys of the result.
+
+    seed is unused: no check draws random points.  It is accepted so that
+    callers that still pass one keep working.
+    """
     from .semiclassical import pearson_data
 
     fam = SievedFamily(kind=SievedKind.FIRST, lam=sys.lam, k=sys.k)
@@ -341,28 +340,15 @@ def verify_theorem(sys: ChargeSystem, seed: int = 0x5EED) -> dict:
     report["interval_counts"] = counts
     report["counts_ok"] = counts == [sys.l] * sys.k
 
-    # (e) partial-fraction form of Psi/Phi at random non-singular points
-    pd = pearson_data(fam)
-    phi_c, psi_c = float_coeffs(pd.phi), float_coeffs(pd.psi)
-    # the points are drawn in batches, which give the same values as one
-    # draw at a time, and those within 1e-2 of a partition point are dropped
-    rng = np.random.default_rng(seed)
-    pts = partition_points(sys.k)
-    t = np.empty(0)
-    while t.size < 32:
-        batch = rng.uniform(-1.0, 1.0, 32)
-        keep = np.abs(batch[:, None] - pts).min(axis=1) >= 1e-2
-        t = np.concatenate([t, batch[keep]])
-    t = t[:32]
-    lam = float(fam.lam)
-    lhs = polyval(t, psi_c) / polyval(t, phi_c)
-    rhs = (2 * lam + 1) / 2 * (1.0 / (t - 1.0) + 1.0 / (t + 1.0)) + (
-        2 * lam + 1
-    ) * np.sum(1.0 / (t[:, None] - sys.interior_points), axis=1)
-    # scale by the sum magnitude: terms reach O(1/margin) near the cut
-    worst = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))))
-    report["psi_phi_resid"] = worst
-    report["psi_phi_ok"] = worst < 1e-12
+    # (e) Psi/Phi equals its partial fractions, (2 lam + 1) / 2 at +-1 and
+    # 2 lam + 1 at each cos(j pi/k); times Phi = (1 - x^2) U_hat(k-1) their
+    # sum is (2 lam + 1)((1 - x^2) U_hat' - x U_hat), compared exactly
+    u = u_hat(sys.k - 1)
+    residual = pearson_data(fam).psi - (
+        ONE_MINUS_X2 * u.derivative() - Poly.x() * u
+    ).scale(2 * fam.lam + 1)
+    report["psi_phi_resid"] = float(max(map(abs, residual.coeffs), default=0))
+    report["psi_phi_ok"] = residual.is_zero()
 
     report["all_ok"] = all(
         report[key] for key in ("grad_ok", "stationarity_ok", "solver_ok",

@@ -10,9 +10,7 @@ Polynomials: Computation and Approximation, 2004).  Orthogonality is read
 off one Gram matrix G = C M C^T, where M holds the weight's Chebyshev
 modified moments: exact rationals, split here into double-double pairs
 that carry the mixed moments C M through the modified Chebyshev
-algorithm.  No quadrature rule is involved.  float_coeffs, the binary64
-monomial coefficients, is kept for the emit-plot CSV and for checks on
-the low-degree Pearson data.
+algorithm.  No quadrature rule is involved.
 
 Everything here assumes the positive-definite range lam > -1/2, where the
 flattened recurrence coefficients are positive and the zeros are the
@@ -28,7 +26,6 @@ from fractions import Fraction
 import numpy as np
 
 from .chebyshev import grow, table_cache
-from .polycore import Poly
 from .recurrence import SievedFamily, SievedKind, gamma_flat
 
 
@@ -49,17 +46,6 @@ class ZeroSet:
     values: np.ndarray
     family: SievedFamily
     n: int
-
-
-def float_coeffs(p: Poly) -> np.ndarray:
-    """Ascending coefficients of p rounded to binary64, for polyval/polyder.
-
-    Each entry is numerator / denominator, an int true division, which is
-    correctly rounded and so equals float() of the Fraction coefficient.
-    The zero polynomial gives [0.0], so polyval still returns zero.
-    """
-    den = p.denominator
-    return np.array([c / den for c in p.numerators] or [0.0])
 
 
 def _require_positive_definite(fam: SievedFamily):

@@ -171,9 +171,10 @@ class Poly:
         x = _rational(x)
         xn, xd = x.numerator, x.denominator
         d = len(self.numerators) - 1
-        acc = 0
-        for i, c in enumerate(reversed(self.numerators)):
-            acc = acc * xn + c * xd**i
+        acc, power = 0, 1
+        for c in reversed(self.numerators):
+            acc = acc * xn + c * power
+            power *= xd
         # acc = sum of n_i xn^i xd^(d-i), the value times den * xd^d
         return Fraction(acc, self.denominator * xd ** max(d, 0))
 

@@ -136,20 +136,20 @@ def test_criterion_6_figure_regeneration():
         "-3/2", "0", "411/2", "0", "-3774", "0", "25200", "0", "-79200", "0",
         "126720", "0", "-99840", "0", "30720",
     ]
-    # CSV samples must reproduce the float evaluations exactly on re-parse
-    from numpy.polynomial.polynomial import polyval
-
+    # each CSV y must be the exact value at its x rounded once: the reference
+    # sums the Fraction coefficients directly, not through Poly.evaluate
     from sievedops.cli import _csv_points
-    from sievedops.numerics import float_coeffs
 
-    worst = 0.0
+    mismatches = 0
     for poly in polys.values():
-        c = float_coeffs(poly)
         for row in _csv_points(poly, -1.1, 1.1, 101).splitlines()[1:]:
             xs, ys = row.split(",")
-            worst = max(worst, abs(float(ys) - polyval(float(xs), c)))
-    ok = ok and worst < 1e-12
-    report(6, ok, f"three coefficient lists exact, CSV max error {worst:.1e}")
+            x = F(float(xs))
+            exact = sum(c * x**i for i, c in enumerate(poly.coeffs))
+            mismatches += ys != repr(float(exact))
+    ok = ok and mismatches == 0
+    report(6, ok, f"three coefficient lists exact, {mismatches} of 303 CSV "
+                  "values differ from the exact value rounded once")
 
 
 def test_criterion_7_orthogonality():

@@ -6,6 +6,7 @@ import threading
 from fractions import Fraction as F
 
 import pytest
+from float_oracle import float_coeffs
 from numpy.polynomial.polynomial import polyval
 
 from sievedops import chebyshev
@@ -19,7 +20,6 @@ from sievedops.chebyshev import (
     t_hat,
     u_hat,
 )
-from sievedops.numerics import float_coeffs
 from sievedops.polycore import Poly, poly_gcd
 
 

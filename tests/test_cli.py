@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import sievedops
 from sievedops.cli import main
+from sievedops.recurrence import SievedFamily, SievedKind, classical_sieved
 
 # the child interpreter imports the same sievedops as this one, also when it
 # comes from the source tree rather than an install
@@ -164,16 +166,27 @@ def test_orthogonality_degree_400(capsys):
     assert out["failures"] == [] and out["worst_defect"] < 1e-12
 
 
-def test_import_leaves_scipy_out():
+def loaded_by_cli_import(module):
+    """Whether a fresh interpreter has module loaded after importing the CLI."""
     path = [SRC_DIR, os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, sievedops.cli; print('scipy' in sys.modules)"],
+         f"import sys, sievedops.cli; print({module!r} in sys.modules)"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_out():
+    assert not loaded_by_cli_import("scipy")
+
+
+def test_import_leaves_numpy_polynomial_out():
+    # no float evaluation runs on monomial coefficients
+    assert not loaded_by_cli_import("numpy.polynomial")
 
 
 def test_equilibrium_command(capsys):
@@ -267,6 +280,28 @@ def test_emit_plot_poly(tmp_path, capsys):
     assert rows[0] == "x,y"
     x, y = map(float, rows[1].split(","))
     assert x == -1.1
+
+
+def test_emit_plot_values_are_exact_values_rounded_once(capsys):
+    # binary64 monomial coefficients cancel catastrophically at this degree
+    rc = main(["emit-plot", "--poly", "first:3/2:5:60", "--samples", "41"])
+    assert rc == 0
+    coeffs = classical_sieved(SievedFamily(SievedKind.FIRST, F(3, 2), 5), 60).coeffs
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "x,y" and len(rows) == 42
+    for row in rows[1:]:
+        xs, ys = row.split(",")
+        x = F(float(xs))
+        assert ys == repr(float(sum(c * x**i for i, c in enumerate(coeffs))))
+
+
+def test_emit_plot_overflow_exit_2(capsys):
+    # lambda = 10^40 lifts the degree-30 value at x = +-1.1 past 1.8e308
+    rc = main(["emit-plot", "--poly", f"second:{10**40}:3:30", "--samples", "2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "x=-1.1" in json.loads(captured.err)["error"]
 
 
 def test_emit_plot_requires_selection():

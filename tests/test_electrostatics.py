@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from float_oracle import float_coeffs
 from numpy.polynomial.polynomial import polyval
 
 from sievedops.electrostatics import (
@@ -23,7 +24,7 @@ from sievedops.electrostatics import (
     theorem_zero_set,
     verify_theorem,
 )
-from sievedops.numerics import float_coeffs, zeros
+from sievedops.numerics import zeros
 from sievedops.recurrence import SievedFamily, SievedKind
 
 SYS = ChargeSystem(k=5, l=2, q=1.0)
@@ -259,6 +260,27 @@ def test_psi_phi_mn_identity():
 def test_verify_theorem(k, l, q):
     rep = verify_theorem(ChargeSystem(k=k, l=l, q=q))
     assert rep["all_ok"], rep
+
+
+def test_verify_theorem_psi_phi_exact(monkeypatch):
+    # one part in 2^40 (9.1e-13) is below a relative 1e-12 float bound
+    import dataclasses
+
+    from sievedops import semiclassical
+
+    sys_ = ChargeSystem(k=5, l=2, q=1.0)
+    rep = verify_theorem(sys_)
+    assert rep["psi_phi_ok"] and rep["psi_phi_resid"] == 0.0
+    exact = semiclassical.pearson_data
+
+    def perturbed(fam):
+        pd = exact(fam)
+        return dataclasses.replace(pd, psi=pd.psi.scale(1 + F(1, 2**40)))
+
+    monkeypatch.setattr(semiclassical, "pearson_data", perturbed)
+    rep = verify_theorem(sys_)
+    assert not rep["psi_phi_ok"] and not rep["all_ok"]
+    assert rep["psi_phi_resid"] > 0.0
 
 
 def test_energy_baseline_regression():

@@ -1,7 +1,7 @@
 """Golden CLI outputs, pinned byte for byte.
 
-The float CSV values come from evaluating the exact polynomial in binary64;
-any change to how that evaluation is done shows up here.
+Each CSV y is the exact value of the polynomial at its x, rounded once to
+binary64, so it is correctly rounded and fixed by the polynomial alone.
 """
 
 import pytest
@@ -10,17 +10,17 @@ from sievedops.cli import main
 
 EMIT_PLOT_C10 = """\
 x,y
--1.1,26.75673923200008
--0.8800000000000001,0.5217132273849794
--0.66,-0.001145471461132197
--0.44000000000000006,0.47235336418565765
+-1.1,26.75673923200005
+-0.8800000000000001,0.5217132273849976
+-0.66,-0.0011454714611333103
+-0.44000000000000006,0.47235336418565776
 -0.21999999999999997,0.7519208546700524
 0.0,-0.25
 0.21999999999999997,0.7519208546700524
-0.44000000000000017,0.47235336418565665
-0.6600000000000001,-0.0011454714611305317
-0.8799999999999999,0.5217132273850285
-1.1,26.75673923200008
+0.44000000000000017,0.472353364185657
+0.6600000000000001,-0.0011454714611325726
+0.8799999999999999,0.5217132273850005
+1.1,26.75673923200005
 """
 
 VERIFY_STRUCTURE_FIRST_K4 = """\

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from float_oracle import float_coeffs
 from numpy.polynomial.polynomial import polyval
 
 from sievedops.numerics import (
@@ -13,7 +14,6 @@ from sievedops.numerics import (
     UnsupportedRangeError,
     chebyshev_moments,
     chebyshev_u_float,
-    float_coeffs,
     float_gammas,
     gram_matrix,
     interval_counts,

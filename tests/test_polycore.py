@@ -4,12 +4,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from float_oracle import float_coeffs
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sievedops import polycore
 from sievedops.chebyshev import t_hat
-from sievedops.numerics import float_coeffs
 from sievedops.polycore import (
     KRONECKER_MIN_TERMS,
     NotDivisibleError,
