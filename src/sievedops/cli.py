@@ -205,7 +205,8 @@ def cmd_zeros(args) -> int:
 
 def cmd_orthogonality(args) -> int:
     fam = _family(args)
-    pairs = sorted((m, n) for n in range(args.max_n + 1) for m in range(n))
+    pairs = [(m, n) for m in range(args.max_n + 1)
+             for n in range(m + 1, args.max_n + 1)]
     defs = numerics.orthogonality_defects(fam, pairs)
     worst = max(defs) if defs else 0.0
     failures = [list(p) for p, d in zip(pairs, defs) if d >= args.tol]

@@ -8,9 +8,10 @@ the Jacobi matrix, sieved_derivatives() the values p_n, p_n', p_n'' and
 gram_matrix() the Chebyshev coefficients of each p_m (Gautschi, Orthogonal
 Polynomials: Computation and Approximation, 2004).  Orthogonality is read
 off one Gram matrix G = C M C^T, where M holds the weight's Chebyshev
-modified moments: exact rationals, split here into double-double pairs
-that carry the mixed moments C M through the modified Chebyshev
-algorithm.  No quadrature rule is involved.
+modified moments: exact rationals, from which the mixed moments C M are
+carried exactly as integers through the modified Chebyshev algorithm and
+rounded once.  No quadrature rule is involved, and for an orthogonal
+family every off-diagonal entry of G is exactly 0.0.
 
 Everything here assumes the positive-definite range lam > -1/2, where the
 flattened recurrence coefficients are positive and the zeros are the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -158,6 +160,8 @@ def weight(fam: SievedFamily, x: float) -> float:
     lam = float(fam.lam)
     u = abs(chebyshev_u_float(fam.k - 1, x))
     exp_edge = lam + 0.5 if fam.kind == SievedKind.SECOND else lam - 0.5
+    if u == 0.0 and lam < 0:
+        return math.inf  # the density's pole at a zero of U_{k-1}
     return (1.0 - x * x) ** exp_edge * u ** (2.0 * lam)
 
 
@@ -187,31 +191,6 @@ def chebyshev_moments(fam: SievedFamily, top: int) -> list:
     return mu[:top + 1]
 
 
-def _two_sum(a, b) -> tuple:
-    """s, e with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _two_prod(a, b) -> tuple:
-    """p, e with p = fl(a b) and p + e = a b exactly (Dekker).
-
-    Each factor is split into 26-bit halves, whose products are exact.
-    """
-    p = a * b
-    ta, tb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1
-    ah, bh = ta - (ta - a), tb - (tb - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh, xl, yh, yl) -> tuple:
-    """(xh + xl) + (yh + yl) in double-double arithmetic."""
-    s, e = _two_sum(xh, yh)
-    return _two_sum(s, e + (xl + yl))
-
-
 def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
     """G[i, j] = <r_i, r_j> / <1> for i, j = 0..n, where r_m = 2^m p_m.
 
@@ -224,54 +203,54 @@ def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
     Chebyshev algorithm <r_{m+1}, T_a> = <r_m, T_{a+1}> + <r_m, T_{|a-1|}>
     - 4 gamma_m <r_{m-1}, T_a> (Gautschi, Orthogonal Polynomials:
     Computation and Approximation, 2004, 2.1.7), with row m valid up to
-    a = 2n - m.  Its entries a < m are zero, cancelled from entries of order
-    one, and G[i, j], i <= j, sums C[i, a] S[j, a] over a <= i only.
-    binary64 leaves 1e-14 in those entries, which Chebyshev coefficients of
-    1e3 and more (lam >= 2) amplify, so S is carried in double-double pairs
-    hi + lo started from the exact moments.
+    a = 2n - m.  S is carried exactly, as integer rows over one common
+    denominator, and rounded once, so its entries a < m are the exact zeros
+    of orthogonality.  G[i, j], i <= j, sums C[i, a] S[j, a] over a <= i
+    only, so only the entries a <= m of row m are rounded.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     mu = chebyshev_moments(fam, 2 * n)
-    g4 = 4.0 * float_gammas(fam, n)
+    scale = math.lcm(*(v.denominator for v in mu))
+    cur = [v.numerator * (scale // v.denominator) for v in mu]
+    prev, q_prev = [0] * (2 * n), 1
     c = np.zeros((n + 1, n + 1))
     c[0, 0] = 1.0
-    # column i of S holds a = i - 1; column 0 is a = -1, where T_{-1} = T_1
-    hi = np.zeros((n + 1, 2 * n + 3))
-    lo = np.zeros_like(hi)
-    hi[0, 1:-1] = [float(v) for v in mu]
-    lo[0, 1:-1] = [float(v - Fraction(h)) if v else 0.0
-                   for v, h in zip(mu, hi[0, 1:-1])]
+    s = np.zeros((n + 1, n + 1))
+    s[0, 0] = cur[0] / scale
     for m in range(n):
         c[m + 1, 1:] = c[m, :-1]
         c[m + 1, 1] += c[m, 0]
         c[m + 1, :-1] += c[m, 1:]
-        hi[m, 0], lo[m, 0] = hi[m, 2], lo[m, 2]
-        h, l = _dd_add(hi[m, 2:], lo[m, 2:], hi[m, :-2], lo[m, :-2])
+        # row m + 1 over scale * q, with 4 gamma_m = p / q and gamma_0 = 0
+        g4 = 4 * gamma_flat(fam, m) if m else Fraction(0)
         if m:
-            c[m + 1] -= g4[m] * c[m - 1]
-            p, e = _two_prod(g4[m], hi[m - 1, 1:-1])
-            h, l = _dd_add(h, l, -p, -(e + g4[m] * lo[m - 1, 1:-1]))
-        hi[m + 1, 1:-1], lo[m + 1, 1:-1] = h, l
-    g = np.triu(c @ hi[:, 1:n + 2].T)
+            c[m + 1] -= float(g4) * c[m - 1]
+        p, q = g4.numerator, g4.denominator
+        pq = p * q_prev
+        # T_{|a-1|} is T_1 at a = 0
+        down = [cur[1]] + cur
+        prev, cur, q_prev = cur, [q * (u + v) - pq * w for u, v, w
+                                  in zip(cur[1:], down, prev)], q
+        scale *= q
+        s[m + 1, :m + 2] = [v / scale for v in cur[:m + 2]]
+    g = np.triu(c @ s.T)
     return g + np.triu(g, 1).T
-
-
-def _defect(g: np.ndarray, m: int, n: int) -> float:
-    if m == n:
-        return 1.0
-    return abs(float(g[m, n])) / math.sqrt(float(g[m, m]) * float(g[n, n]))
 
 
 def orthogonality_defects(fam: SievedFamily, pairs) -> list:
     """orthogonality_defect of each pair (m, n), in order, from one Gram
     matrix."""
     pairs = list(pairs)
-    degrees = [d for pair in pairs for d in pair]
-    if degrees and min(degrees) < 0:
-        raise ValueError(f"degree must be >= 0, got {min(degrees)}")
-    g = gram_matrix(fam, max(degrees, default=0))
-    return [_defect(g, m, n) for m, n in pairs]
+    mn = np.fromiter(chain.from_iterable(pairs), dtype=np.intp,
+                     count=2 * len(pairs)).reshape(-1, 2)
+    if mn.min(initial=0) < 0:
+        raise ValueError(f"degree must be >= 0, got {mn.min()}")
+    g = gram_matrix(fam, int(mn.max(initial=0)))
+    m, n = mn.T
+    diag = np.diagonal(g)
+    defects = np.abs(g[m, n]) / np.sqrt(diag[m] * diag[n])
+    return np.where(m == n, 1.0, defects).tolist()
 
 
 def orthogonality_defect(fam: SievedFamily, m: int, n: int) -> float:

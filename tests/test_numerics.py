@@ -8,6 +8,7 @@ import pytest
 from float_oracle import float_coeffs
 from numpy.polynomial.polynomial import polyval
 
+from sievedops import numerics
 from sievedops.numerics import (
     DegenerateConfigurationError,
     DomainError,
@@ -116,6 +117,9 @@ def test_weight_cases():
     assert abs(weight(fam_u, 0.3) - math.sqrt(1 - 0.09)) < 1e-12
     # zero of U_{k-1} kills the weight for lam > 0
     assert weight(fam, math.cos(math.pi / 4)) < 1e-12
+    # and is a pole of the density for lam < 0
+    assert weight(SievedFamily(FIRST, F(-1, 4), 4), 0.0) == math.inf
+    assert weight(SievedFamily(SECOND, F(-1, 3), 3), 0.5) == math.inf
 
 
 def test_weight_domain_error():
@@ -143,10 +147,8 @@ def test_orthogonality_defects_one_gram_matrix():
     fam = SievedFamily(SECOND, F(1, 2), 4)
     pairs = [(m, n) for n in range(13) for m in range(n)]
     batch = orthogonality_defects(fam, pairs)
-    # each single pair builds a smaller Gram matrix, which may sum in
-    # another order, so the two agree to rounding, not bit for bit
     single = [orthogonality_defect(fam, m, n) for m, n in pairs]
-    assert np.max(np.abs(np.array(batch) - single)) < 1e-14
+    assert batch == single
     assert max(batch) < 1e-9
     # rows are scaled by 2^m, so the Gram matrix stays finite at degree 600
     g = gram_matrix(SievedFamily(FIRST, F(3, 2), 5), 600)
@@ -160,16 +162,35 @@ def test_orthogonality_defects_one_gram_matrix():
     (FIRST, F(-1, 4), 4, 600),
 ])
 def test_gram_matrix_accurate_at_high_degree(kind, lam, k, n):
-    # for lam >= 2 the Chebyshev coefficients of 2^m p_m reach 1e3 and more;
-    # with the mixed moments in binary64 the defects here are 1e-9 to 1e-5
+    # for lam >= 2 the Chebyshev coefficients of 2^m p_m reach 1e3 and more,
+    # which amplify any residue in the mixed moments below the diagonal;
+    # carried exactly, those moments are zero, and so is every off-diagonal
     fam = SievedFamily(kind, lam, k)
     g = gram_matrix(fam, n)
+    assert not np.triu(g, 1).any()
     d = np.sqrt(np.diag(g))
     off = np.abs(g / np.outer(d, d)) - np.eye(n + 1)
     assert np.max(off) < 1e-12
     # <p_n, p_n> / <p_{n-1}, p_{n-1}> = gamma_n, with 2^n scaling
     ratio = np.diag(g)[1:] / np.diag(g)[:-1] / (4.0 * float_gammas(fam, n + 1)[1:])
     assert np.max(np.abs(ratio - 1.0)) < 1e-14
+
+
+def test_planted_moment_error_caught(monkeypatch):
+    # mu_{2k} off by one part in 2^30: the exact mixed moments below the
+    # diagonal are no longer zero, and the defects show it
+    fam = SievedFamily(FIRST, F(3, 2), 5)
+    exact = numerics.chebyshev_moments
+
+    def perturbed(family, top):
+        mu = exact(family, top)
+        mu[2 * family.k] *= 1 + F(1, 2**30)
+        return mu
+
+    monkeypatch.setattr(numerics, "chebyshev_moments", perturbed)
+    assert np.triu(gram_matrix(fam, 24), 1).any()
+    pairs = [(m, n) for n in range(10, 25) for m in range(n)]
+    assert max(orthogonality_defects(fam, pairs)) >= 1e-9
 
 
 def test_orthogonality_singular_weight():
