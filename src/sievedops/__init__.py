@@ -6,14 +6,13 @@ ODEs, plus the electrostatic model whose equilibrium is the zero set of the
 first-kind family.
 """
 
-from .chebyshev import ChebKind, identity_residual, t_hat, u_hat
+from .chebyshev import identity_residual, t_hat, u_hat
 from .polycore import Poly, rat_from_str, rat_to_str
 from .recurrence import SievedFamily, SievedKind, classical_sieved, sieved_monic
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebKind",
     "Poly",
     "SievedFamily",
     "SievedKind",

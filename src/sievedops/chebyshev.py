@@ -7,7 +7,6 @@ coefficient residuals, never as sampled values.
 
 from __future__ import annotations
 
-import enum
 import functools
 import threading
 from fractions import Fraction
@@ -16,12 +15,7 @@ from .polycore import Poly
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
-ONE_MINUS_X2 = Poly.exact([1, 0, -1])
-
-
-class ChebKind(enum.Enum):
-    FIRST = "first"
-    SECOND = "second"
+ONE_MINUS_X2 = Poly([1, 0, -1])
 
 
 # bound of every per-family (or per-lambda) table cache and of pearson_data
@@ -101,17 +95,6 @@ def u_hat(n: int) -> Poly:
     if n == -1:
         return Poly.zero()
     return grow(_U_TABLE, n, _U_STEP)
-
-
-def monic_chebyshev(kind: ChebKind, n: int) -> Poly:
-    return t_hat(n) if kind == ChebKind.FIRST else u_hat(n)
-
-
-def chebyshev_t(n: int) -> Poly:
-    """Classical (non-monic) T_n."""
-    if n == 0:
-        return Poly.one()
-    return t_hat(n).scale(Fraction(2) ** (n - 1))
 
 
 def chebyshev_u(n: int) -> Poly:

@@ -1,6 +1,8 @@
 """Command-line interface: generation and verification pipelines.
 
-Every subcommand emits a JSON report (schema 1) on stdout or --output.
+Each subcommand but emit-plot returns its own report fields and a verdict.
+main adds the one envelope (schema 1, the command, and kind, lambda and k
+for a family command) and writes the JSON report on stdout or --output.
 Exit codes: 0 all checks pass, 1 a check failed, 2 invalid flags or input.
 No check draws random points, so identical flags give byte-identical output.
 The emit-plot CSV holds exact values rounded once to binary64.
@@ -17,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import chebyshev, electrostatics, numerics, recurrence, semiclassical
-from .polycore import Poly, rat_from_str, rat_to_str
+from .polycore import Poly, rat_from_str
 from .recurrence import SievedFamily, SievedKind
 
 SCHEMA = 1
@@ -28,88 +30,49 @@ def _family(args) -> SievedFamily:
     return SievedFamily(kind=kind, lam=rat_from_str(args.lam), k=args.k)
 
 
-def _emit(report: dict, output: str | None) -> None:
-    report["schema"] = SCHEMA
-    # NaN and infinity are not JSON: a report holding one raises ValueError
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+def _write(text: str, output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
-# -- subcommand implementations ------------------------------------------
+# -- subcommand implementations: each returns (fields, verdict) ----------
 
 
-def cmd_gen_poly(args) -> int:
+def cmd_gen_poly(args):
     fam = _family(args)
     if args.normalization == "classical":
         poly = recurrence.classical_sieved(fam, args.n)
     else:
         poly = recurrence.sieved_monic(fam, args.n)
-    _emit(
-        {
-            "command": "gen-poly",
-            "kind": args.kind,
-            "lambda": args.lam,
-            "k": args.k,
-            "n": args.n,
-            "normalization": args.normalization,
-            "coefficients": poly.to_strings(),
-        },
-        args.output,
-    )
-    return 0
+    return {"n": args.n, "normalization": args.normalization,
+            "coefficients": poly.to_strings()}, True
 
 
-def cmd_verify_identities(args) -> int:
+def cmd_verify_identities(args):
+    ns = range(1, args.max_n + 1)
     results = {}
-    ok = True
     for tag in chebyshev.IDENTITY_TAGS:
         if tag == "product_diff":
-            bad = [
-                (n, m)
-                for n in range(1, args.max_n + 1)
-                for m in range(0, args.max_n + 1)
-                if not chebyshev.identity_residual(tag, n, m).is_zero()
-            ]
+            bad = [(n, m) for n in ns for m in range(args.max_n + 1)
+                   if not chebyshev.identity_residual(tag, n, m).is_zero()]
         else:
-            bad = [
-                n
-                for n in range(1, args.max_n + 1)
-                if not chebyshev.identity_residual(tag, n).is_zero()
-            ]
+            bad = [n for n in ns
+                   if not chebyshev.identity_residual(tag, n).is_zero()]
         results[tag] = {"pass": not bad, "failures": bad}
-        ok = ok and not bad
-    _emit(
-        {"command": "verify-identities", "max_n": args.max_n, "identities": results},
-        args.output,
-    )
-    return 0 if ok else 1
+    ok = all(r["pass"] for r in results.values())
+    return {"max_n": args.max_n, "identities": results}, ok
 
 
-def cmd_verify_mapping(args) -> int:
+def cmd_verify_mapping(args):
     fam = _family(args)
     cells = recurrence.mapping_cells(fam, args.max_n)
-    failures = [
-        [n, j]
-        for n, j in cells
-        if not recurrence.mapping_residual(fam, n, j).is_zero()
-    ]
-    _emit(
-        {
-            "command": "verify-mapping",
-            "kind": args.kind,
-            "lambda": args.lam,
-            "k": fam.k,
-            "max_n": args.max_n,
-            "cells_checked": len(cells),
-            "failures": failures,
-        },
-        args.output,
-    )
-    return 0 if not failures else 1
+    failures = [[n, j] for n, j in cells
+                if not recurrence.mapping_residual(fam, n, j).is_zero()]
+    return {"max_n": args.max_n, "cells_checked": len(cells),
+            "failures": failures}, not failures
 
 
 def _residual_grid(fam, max_n, residual_fn):
@@ -127,106 +90,48 @@ def _pairs_agree(fam, n) -> bool:
     return closed.m == recursive.m and closed.n == recursive.n
 
 
-def cmd_verify_structure(args) -> int:
+def cmd_verify_structure(args):
     fam = _family(args)
     residuals = _residual_grid(fam, args.max_n, semiclassical.structure_residual)
     agree = all(_pairs_agree(fam, n) for n in range(args.max_n + 1))
     ok = agree and all(v == "zero" for v in residuals.values())
-    _emit(
-        {
-            "command": "verify-structure",
-            "kind": args.kind,
-            "lambda": args.lam,
-            "k": args.k,
-            "max_n": args.max_n,
-            "residuals": residuals,
-            "closed_form_matches_recursion": agree,
-        },
-        args.output,
-    )
-    return 0 if ok else 1
+    return {"max_n": args.max_n, "residuals": residuals,
+            "closed_form_matches_recursion": agree}, ok
 
 
-def cmd_verify_ode(args) -> int:
+def cmd_verify_ode(args):
     fam = _family(args)
     residuals = _residual_grid(fam, args.max_n, semiclassical.ode_residual)
     ok = all(v == "zero" for v in residuals.values())
-    _emit(
-        {
-            "command": "verify-ode",
-            "kind": args.kind,
-            "lambda": args.lam,
-            "k": args.k,
-            "max_n": args.max_n,
-            "residuals": residuals,
-        },
-        args.output,
-    )
-    return 0 if ok else 1
+    return {"max_n": args.max_n, "residuals": residuals}, ok
 
 
-def cmd_class(args) -> int:
-    fam = _family(args)
-    info = semiclassical.semiclassical_class(fam)
-    _emit(
-        {
-            "command": "class",
-            "kind": args.kind,
-            "lambda": args.lam,
-            "k": args.k,
-            "class": info.value,
-            "classical": info.classical,
-        },
-        args.output,
-    )
-    return 0
+def cmd_class(args):
+    info = semiclassical.semiclassical_class(_family(args))
+    return {"class": info.value, "classical": info.classical}, True
 
 
-def cmd_zeros(args) -> int:
-    fam = _family(args)
-    zs = numerics.zeros(fam, args.n)
+def cmd_zeros(args):
+    zs = numerics.zeros(_family(args), args.n)
     worst = float(numerics.zero_residuals(zs).max())
     ok = worst < args.tol  # False for a NaN residual
-    _emit(
-        {
-            "command": "zeros",
-            "kind": args.kind,
-            "lambda": args.lam,
-            "k": args.k,
-            "n": args.n,
-            "zeros": [float(v) for v in zs.values],
+    return {"n": args.n, "zeros": [float(v) for v in zs.values],
             "max_residual": worst if math.isfinite(worst) else None,
-            "pass": ok,
-        },
-        args.output,
-    )
-    return 0 if ok else 1
+            "pass": ok}, ok
 
 
-def cmd_orthogonality(args) -> int:
+def cmd_orthogonality(args):
     fam = _family(args)
     pairs = [(m, n) for m in range(args.max_n + 1)
              for n in range(m + 1, args.max_n + 1)]
     defs = numerics.orthogonality_defects(fam, pairs)
     worst = max(defs) if defs else 0.0
     failures = [list(p) for p, d in zip(pairs, defs) if d >= args.tol]
-    _emit(
-        {
-            "command": "orthogonality",
-            "kind": args.kind,
-            "lambda": args.lam,
-            "k": args.k,
-            "max_n": args.max_n,
-            "tol": args.tol,
-            "worst_defect": worst,
-            "failures": failures,
-        },
-        args.output,
-    )
-    return 0 if not failures else 1
+    return {"max_n": args.max_n, "tol": args.tol, "worst_defect": worst,
+            "failures": failures}, not failures
 
 
-def cmd_equilibrium(args) -> int:
+def cmd_equilibrium(args):
     sys_ = electrostatics.ChargeSystem(k=args.k, l=args.l, q=args.q)
     init = None
     if args.init_file:
@@ -236,41 +141,30 @@ def cmd_equilibrium(args) -> int:
         if not isinstance(init, list) or not all(type(v) is float for v in init):
             raise ValueError("--init-file must hold a JSON array of numbers")
     res = electrostatics.solve_equilibrium(sys_, init=init)
-    _emit(
-        {
-            "command": "equilibrium",
-            "k": args.k,
-            "l": args.l,
-            "q": args.q,
-            "x_star": [float(v) for v in res.x_star],
-            "energy": res.energy,
-            "grad_inf_norm": res.grad_inf_norm,
-            "hessian_pd": res.hessian_pd,
-            "diag_dominant": res.diag_dominant,
-            "iterations": res.iterations,
-            "converged": res.converged,
-        },
-        args.output,
-    )
-    return 0 if res.converged else 1
+    return {
+        "k": args.k,
+        "l": args.l,
+        "q": args.q,
+        "x_star": [float(v) for v in res.x_star],
+        "energy": res.energy,
+        "grad_inf_norm": res.grad_inf_norm,
+        "hessian_pd": res.hessian_pd,
+        "diag_dominant": res.diag_dominant,
+        "iterations": res.iterations,
+        "converged": res.converged,
+    }, res.converged
 
 
-def cmd_verify_electrostatics(args) -> int:
-    qs = [0.25, 0.5, 0.75, 1.0, 1.5]
+def cmd_verify_electrostatics(args):
     matrix = {
         f"q={q},k={k},l={l}": electrostatics.verify_theorem(
             electrostatics.ChargeSystem(k=k, l=l, q=q)
         )["all_ok"]
-        for q in qs
+        for q in (0.25, 0.5, 0.75, 1.0, 1.5)
         for k in (3, 4, 5)
         for l in (1, 2, 3)
     }
-    ok = all(matrix.values())
-    _emit(
-        {"command": "verify-electrostatics", "grid": args.grid, "matrix": matrix},
-        args.output,
-    )
-    return 0 if ok else 1
+    return {"grid": args.grid, "matrix": matrix}, all(matrix.values())
 
 
 def _csv_points(poly: Poly, lo: float, hi: float, samples: int) -> str:
@@ -301,6 +195,7 @@ def figure_polys() -> dict:
 
 
 def cmd_emit_plot(args) -> int:
+    """Write CSV files rather than a report, and return the exit code."""
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
     if args.figure2:
@@ -323,12 +218,7 @@ def cmd_emit_plot(args) -> int:
         raise ValueError(f"--poly kind must be 'first' or 'second', got {kind!r}")
     fam = SievedFamily(kinds[kind], rat_from_str(lam), int(k))
     poly = recurrence.classical_sieved(fam, int(n))
-    text = _csv_points(poly, -1.1, 1.1, args.samples)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(_csv_points(poly, -1.1, 1.1, args.samples), args.output)
     return 0
 
 
@@ -349,6 +239,29 @@ def _tolerance(text: str) -> float:
     return value
 
 
+_N = {"type": int, "required": True}
+_MAX_N = {"type": _non_negative, "required": True}
+
+
+def _add_command(sub, name, fn, summary, family=True,
+                 output="write the JSON report here", **flags) -> None:
+    """Register one subcommand: the family flags, its own flags (each keyword
+    names one --flag), then --output."""
+    p = sub.add_parser(name, help=summary)
+    if family:
+        p.add_argument("--kind", choices=["first", "second"], required=True)
+        p.add_argument(
+            "--lambda", dest="lam", required=True,
+            help="rational parameter as 'p/q'; write --lambda=-1/3 for "
+            "negative values (floats are not accepted)",
+        )
+        p.add_argument("--k", type=int, required=True)
+    for flag, spec in flags.items():
+        p.add_argument("--" + flag.replace("_", "-"), **spec)
+    p.add_argument("--output", help=output)
+    p.set_defaults(fn=fn, family=family)
+
+
 # built once per process (about 4 ms); parse_args leaves the parser as it was
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -358,94 +271,35 @@ def build_parser() -> argparse.ArgumentParser:
         "identity verification, and the electrostatic equilibrium model.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_family(p):
-        p.add_argument("--kind", choices=["first", "second"], required=True)
-        p.add_argument(
-            "--lambda", dest="lam", required=True,
-            help="rational parameter as 'p/q'; write --lambda=-1/3 for "
-            "negative values (floats are not accepted)",
-        )
-        p.add_argument("--k", type=int, required=True)
-
-    def add_output(p):
-        p.add_argument("--output", help="write the JSON report here")
-
-    p = sub.add_parser("gen-poly", help="emit one sieved polynomial as JSON")
-    add_family(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--normalization", choices=["monic", "classical"],
-                   default="monic")
-    add_output(p)
-    p.set_defaults(fn=cmd_gen_poly)
-
-    p = sub.add_parser("verify-identities", help="Chebyshev identity suite")
-    p.add_argument("--max-n", type=_non_negative, default=64)
-    add_output(p)
-    p.set_defaults(fn=cmd_verify_identities)
-
-    p = sub.add_parser("verify-mapping",
-                       help="recurrence vs polynomial-mapping factorization")
-    add_family(p)
-    p.add_argument("--max-n", type=_non_negative, required=True)
-    add_output(p)
-    p.set_defaults(fn=cmd_verify_mapping)
-
-    p = sub.add_parser("verify-structure", help="structure-relation residuals")
-    add_family(p)
-    p.add_argument("--max-n", type=_non_negative, required=True)
-    add_output(p)
-    p.set_defaults(fn=cmd_verify_structure)
-
-    p = sub.add_parser("verify-ode", help="second-order ODE residuals")
-    add_family(p)
-    p.add_argument("--max-n", type=_non_negative, required=True)
-    add_output(p)
-    p.set_defaults(fn=cmd_verify_ode)
-
-    p = sub.add_parser("class", help="semiclassical class of the family")
-    add_family(p)
-    add_output(p)
-    p.set_defaults(fn=cmd_class)
-
-    p = sub.add_parser("zeros", help="zeros via the Jacobi matrix")
-    add_family(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-10)
-    add_output(p)
-    p.set_defaults(fn=cmd_zeros)
-
-    p = sub.add_parser("orthogonality",
-                       help="orthogonality defects from exact moments")
-    add_family(p)
-    p.add_argument("--max-n", type=_non_negative, required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-    add_output(p)
-    p.set_defaults(fn=cmd_orthogonality)
-
-    p = sub.add_parser("equilibrium", help="solve one charge system")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--init-file", help="JSON array of starting positions")
-    add_output(p)
-    p.set_defaults(fn=cmd_equilibrium)
-
-    p = sub.add_parser("verify-electrostatics",
-                       help="equilibrium checks over the default grid")
-    p.add_argument("--grid", choices=["default"], default="default")
-    add_output(p)
-    p.set_defaults(fn=cmd_verify_electrostatics)
-
-    p = sub.add_parser("emit-plot", help="CSV sample data for the plots")
-    p.add_argument("--figure2", action="store_true",
-                   help="write u4.csv, c10.csv, b14.csv")
-    p.add_argument("--poly", help="kind:lambda:k:n, classical normalization")
-    p.add_argument("--samples", type=int, default=441)
-    p.add_argument("--outdir", help="directory for --figure2 output")
-    p.add_argument("--output", help="CSV path for --poly output")
-    p.set_defaults(fn=cmd_emit_plot)
-
+    add = functools.partial(_add_command, sub)
+    add("gen-poly", cmd_gen_poly, "emit one sieved polynomial as JSON", n=_N,
+        normalization={"choices": ["monic", "classical"], "default": "monic"})
+    add("verify-identities", cmd_verify_identities, "Chebyshev identity suite",
+        family=False, max_n={"type": _non_negative, "default": 64})
+    add("verify-mapping", cmd_verify_mapping,
+        "recurrence vs polynomial-mapping factorization", max_n=_MAX_N)
+    add("verify-structure", cmd_verify_structure,
+        "structure-relation residuals", max_n=_MAX_N)
+    add("verify-ode", cmd_verify_ode, "second-order ODE residuals", max_n=_MAX_N)
+    add("class", cmd_class, "semiclassical class of the family")
+    add("zeros", cmd_zeros, "zeros via the Jacobi matrix", n=_N,
+        tol={"type": _tolerance, "default": 1e-10})
+    add("orthogonality", cmd_orthogonality,
+        "orthogonality defects from exact moments", max_n=_MAX_N,
+        tol={"type": _tolerance, "default": 1e-9})
+    add("equilibrium", cmd_equilibrium, "solve one charge system", family=False,
+        k=_N, l=_N, q={"type": float, "required": True},
+        init_file={"help": "JSON array of starting positions"})
+    add("verify-electrostatics", cmd_verify_electrostatics,
+        "equilibrium checks over the default grid", family=False,
+        grid={"choices": ["default"], "default": "default"})
+    add("emit-plot", cmd_emit_plot, "CSV sample data for the plots",
+        family=False, output="CSV path for --poly output",
+        figure2={"action": "store_true",
+                 "help": "write u4.csv, c10.csv, b14.csv"},
+        poly={"help": "kind:lambda:k:n, classical normalization"},
+        samples={"type": int, "default": 441},
+        outdir={"help": "directory for --figure2 output"})
     return ap
 
 
@@ -456,7 +310,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        if args.command == "emit-plot":  # CSV output, not a report
+            return cmd_emit_plot(args)
+        fields, ok = args.fn(args)
+        report = {"schema": SCHEMA, "command": args.command, **fields}
+        if args.family:
+            report.update({"kind": args.kind, "lambda": args.lam, "k": args.k})
+        # NaN and infinity are not JSON: a report holding one raises ValueError
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        _write(text + "\n", args.output)
+        return 0 if ok else 1
     except (ValueError, OSError) as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
         return 2

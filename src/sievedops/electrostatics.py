@@ -27,6 +27,8 @@ from .recurrence import SievedFamily, SievedKind
 ARMIJO = 1e-4
 # halvings of the step before the line search gives up
 MAX_BACKTRACKS = 50
+# Newton iterations before the solve stops unconverged
+MAX_NEWTON_STEPS = 200
 # Bertsekas's epsilon: the widest margin at which a bound can hold a charge
 ACTIVE_MARGIN = 1e-6
 # a Newton decrement at most this times 1 + |E| has converged: rounding in
@@ -80,14 +82,10 @@ class ChargeSystem:
         """Row and column indices of the pairs i < j, in row-major order."""
         return np.triu_indices(self.n, 1)
 
-    @property
-    def partition(self) -> np.ndarray:
-        return partition_points(self.k)
-
     @cached_property
     def charge_bounds(self) -> tuple:
         """Per-charge open interval (lo, hi): charge i lies in block i // l."""
-        pts = self.partition
+        pts = partition_points(self.k)
         return np.repeat(pts[:-1], self.l), np.repeat(pts[1:], self.l)
 
 
@@ -200,7 +198,7 @@ def is_positive_definite(h: np.ndarray) -> bool:
 
 def default_init(sys: ChargeSystem) -> np.ndarray:
     """l Chebyshev points mapped affinely into each open subinterval."""
-    pts = sys.partition
+    pts = partition_points(sys.k)
     nodes = np.cos((2 * np.arange(sys.l, 0, -1) - 1) * math.pi / (2 * sys.l))
     out = []
     for j in range(sys.k):
@@ -218,9 +216,7 @@ def _inner_bounds(sys: ChargeSystem) -> tuple:
 
 
 def solve_equilibrium(
-    sys: ChargeSystem,
-    init: np.ndarray | None = None,
-    max_iter: int = 200,
+    sys: ChargeSystem, init: np.ndarray | None = None
 ) -> EquilibriumResult:
     """Projected Newton method with an active set for the block bounds
     (Bertsekas, SIAM J. Control Optim. 20, 1982).
@@ -244,7 +240,7 @@ def solve_equilibrium(
     g, h = _derivatives(sys, x)
     trace = []
     converged = False
-    while not converged and len(trace) < max_iter:
+    while not converged and len(trace) < MAX_NEWTON_STEPS:
         margin = min(ACTIVE_MARGIN, float(np.abs(x - np.clip(x - g, lo, hi)).max()))
         active = ((x <= lo + margin) & (g > 0.0)) | ((x >= hi - margin) & (g < 0.0))
         n_active = int(np.count_nonzero(active))

@@ -264,14 +264,18 @@ def partition_points(k: int) -> np.ndarray:
     return np.array(pts)
 
 
-def interval_counts(z: ZeroSet, tol: float = 1e-12) -> list:
+# a zero nearer than this to a partition point is taken as on it
+PARTITION_TOL = 1e-12
+
+
+def interval_counts(z: ZeroSet) -> list:
     """Zeros per open subinterval of the partition; requires k | n."""
     k = z.family.k
     if z.n % k != 0:
         raise ValueError(f"degree {z.n} is not a multiple of k={k}")
     pts = partition_points(k)
     x = np.asarray(z.values)[:, None]
-    near = np.abs(x - pts).min(axis=1) < tol
+    near = np.abs(x - pts).min(axis=1) < PARTITION_TOL
     if near.any():
         raise DegenerateConfigurationError(
             f"zero {z.values[near][0]} coincides with a partition point"

@@ -65,8 +65,8 @@ class Poly:
     """Immutable dense polynomial with exact rational coefficients.
 
     `numerators` is the ascending tuple of int numerators and `denominator`
-    the one positive int denominator they share, in lowest terms.  Use
-    Poly.exact (or Poly(...)) to build from ints, Fractions or 'p/q' strings.
+    the one positive int denominator they share, in lowest terms.  Poly(...)
+    builds one from ints, Fractions or 'p/q' strings.
     """
 
     __slots__ = ("numerators", "denominator")
@@ -78,10 +78,6 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
-
-    @classmethod
-    def exact(cls, coeffs: Iterable[Union[int, Fraction, str]]) -> "Poly":
-        return cls(coeffs)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -190,10 +186,6 @@ class Poly:
     def to_strings(self) -> list:
         """JSON-ready ascending coefficient list of 'p/q' strings."""
         return [rat_to_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "Poly":
-        return cls.exact([rat_from_str(s) for s in items])
 
 
 _set_numerators = Poly.numerators.__set__

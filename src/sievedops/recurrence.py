@@ -1,9 +1,9 @@
 """Sieved ultraspherical families: block recurrences, determinants, mapping.
 
 Both families are defined through the block three-term recurrence
-(x - b) p_i = p_{i+1} + a p_{i-1} with all b = 0.  The polynomial-mapping
-factorization expresses p_{kn+j} through monic Chebyshev polynomials and a
-rescaled ultraspherical sequence q_n; mapping_residual checks that the two
+x p_i = p_{i+1} + a p_{i-1}.  The polynomial-mapping factorization
+expresses p_{kn+j} through monic Chebyshev polynomials and a rescaled
+ultraspherical sequence q_n; mapping_residual checks that the two
 constructions agree exactly.
 
 q_n obeys a monic three-term recurrence with the ultraspherical
@@ -55,14 +55,8 @@ class SievedFamily:
         _check_regular(self.lam)
 
 
-@dataclass(frozen=True)
-class BlockCoeffs:
-    a: Fraction
-    b: Fraction
-
-
-def block_coeff(fam: SievedFamily, n: int, j: int) -> BlockCoeffs:
-    """Recurrence coefficients a_n^(j), b_n^(j) of the block recurrence.
+def block_coeff(fam: SievedFamily, n: int, j: int) -> Fraction:
+    """Recurrence coefficient a_n^(j) of the block recurrence.
 
     a_0^(0) is the conventional value 1; it multiplies p_{-1} = 0 and never
     enters any computed polynomial.
@@ -87,14 +81,14 @@ def block_coeff(fam: SievedFamily, n: int, j: int) -> BlockCoeffs:
             a = (n + 1 + 2 * lam) / (4 * (n + 1 + lam))
         else:
             a = QUARTER
-    return BlockCoeffs(a=a, b=Fraction(0))
+    return a
 
 
 def gamma_flat(fam: SievedFamily, m: int) -> Fraction:
     """Flattened recurrence coefficient: gamma_{nk+j} = a_n^(j), m >= 1."""
     if m < 1:
         raise ValueError("flattened index must be >= 1")
-    return block_coeff(fam, m // fam.k, m % fam.k).a
+    return block_coeff(fam, m // fam.k, m % fam.k)
 
 
 @table_cache
@@ -186,7 +180,7 @@ def delta(fam: SievedFamily, n: int, i: int, j: int) -> Poly:
     if i < 1:
         raise ValueError(f"index i must be >= 1, got {i}")
 
-    def coeffs_at(idx: int) -> BlockCoeffs:
+    def a_at(idx: int) -> Fraction:
         return block_coeff(fam, n + idx // fam.k, idx % fam.k)
 
     if j < i - 2:
@@ -194,11 +188,9 @@ def delta(fam: SievedFamily, n: int, i: int, j: int) -> Poly:
     if j == i - 2:
         return Poly.one()
     x = Poly.x()
-    prev = Poly.one()
-    cur = x - Poly.constant(coeffs_at(i - 1).b)
+    prev, cur = Poly.one(), x
     for col in range(i, j + 1):
-        c = coeffs_at(col)
-        prev, cur = cur, (x - Poly.constant(c.b)) * cur - prev.scale(c.a)
+        prev, cur = cur, x * cur - prev.scale(a_at(col))
     return cur
 
 
@@ -209,10 +201,10 @@ def pi_k_from_determinants(fam: SievedFamily) -> Poly:
         # m = 0: theta_0 = 1, eta_{k-1} = Delta_0(2, k-1)
         return delta(fam, 0, 1, 0) * delta(fam, 0, 2, k - 1) - delta(
             fam, 0, 3, k - 1
-        ).scale(block_coeff(fam, 0, 1).a)
+        ).scale(block_coeff(fam, 0, 1))
     # m = k-1: eta_0 = 1; a_0^(k) wraps to a_1^(0)
     return delta(fam, 0, 1, k - 1) - delta(fam, 0, k + 2, 2 * k - 2).scale(
-        block_coeff(fam, 1, 0).a
+        block_coeff(fam, 1, 0)
     )
 
 
@@ -242,9 +234,9 @@ def mapping_residual(fam: SievedFamily, n: int, j: int) -> Poly:
     lhs = sieved_monic(fam, k * n + j)
     if fam.kind == SievedKind.FIRST:
         lhs = u_hat(k - 1) * lhs
-        m, i, a = n + 1, j - 1, block_coeff(fam, n, 1).a
+        m, i, a = n + 1, j - 1, block_coeff(fam, n, 1)
     else:
-        m, i, a = n, j, block_coeff(fam, n, 0).a
+        m, i, a = n, j, block_coeff(fam, n, 0)
     rhs = u_hat(i) * composed_q(fam, m)
     if m >= 1:
         rhs += (u_hat(k - i - 2) * composed_q(fam, m - 1)).scale(

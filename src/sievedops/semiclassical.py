@@ -43,8 +43,6 @@ class PearsonData:
 class StructurePair:
     m: Poly
     n: Poly
-    index: int
-    eps: Fraction
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,6 @@ class OdeData:
     j: Poly
     kk: Poly
     l: Poly
-    omega: Poly
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -114,7 +111,7 @@ def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
                 lk / 8
             )
         )
-    return StructurePair(m=m, n=nn, index=big_n, eps=eps)
+    return StructurePair(m=m, n=nn)
 
 
 def structure_pair_alternate(fam: SievedFamily, big_n: int) -> StructurePair:
@@ -158,7 +155,7 @@ def structure_pair_alternate(fam: SievedFamily, big_n: int) -> StructurePair:
             - uk2.scale(lk / 2)
             + vkj.scale(lk / 2)
         )
-    return StructurePair(m=m, n=nn, index=big_n, eps=_eps(fam, j))
+    return StructurePair(m=m, n=nn)
 
 
 @table_cache
@@ -191,7 +188,7 @@ def structure_pair_recursive(fam: SievedFamily, big_n: int) -> StructurePair:
         return m_cur, n_cur, m_next
 
     m, nn, _ = grow(_pair_table(fam), big_n + 1, step)
-    return StructurePair(m=m, n=nn, index=big_n, eps=_eps(fam, big_n % fam.k))
+    return StructurePair(m=m, n=nn)
 
 
 def structure_residual(fam: SievedFamily, big_n: int) -> Poly:
@@ -225,7 +222,7 @@ def ode_data(fam: SievedFamily, big_n: int) -> OdeData:
     j_pol = pd.phi * sp.m
     k_pol = pd.psi * sp.m - pd.phi * sp.m.derivative()
     l_pol = sp.n * sp.m.derivative() + (omega - sp.n.derivative()) * sp.m
-    return OdeData(j=j_pol, kk=k_pol, l=l_pol, omega=omega)
+    return OdeData(j=j_pol, kk=k_pol, l=l_pol)
 
 
 def omega_generic(fam: SievedFamily, big_n: int) -> Poly:

@@ -11,12 +11,9 @@ from numpy.polynomial.polynomial import polyval
 
 from sievedops import chebyshev
 from sievedops.chebyshev import (
-    ChebKind,
     IDENTITY_TAGS,
-    chebyshev_t,
     chebyshev_u,
     identity_residual,
-    monic_chebyshev,
     t_hat,
     u_hat,
 )
@@ -24,16 +21,15 @@ from sievedops.polycore import Poly, poly_gcd
 
 
 def test_u_hat_4():
-    assert u_hat(4) == Poly.exact([F(1, 16), 0, F(-3, 4), 0, 1])
+    assert u_hat(4) == Poly([F(1, 16), 0, F(-3, 4), 0, 1])
 
 
 def test_u_hat_minus_one_is_zero():
     assert u_hat(-1).is_zero()
-    assert monic_chebyshev(ChebKind.SECOND, -1).is_zero()
 
 
 def test_t_hat_3():
-    assert t_hat(3) == Poly.exact([0, F(-3, 4), 0, 1])
+    assert t_hat(3) == Poly([0, F(-3, 4), 0, 1])
 
 
 def test_tables_independent_of_call_order(monkeypatch):
@@ -85,8 +81,8 @@ def test_out_of_range_indices():
 
 def test_nonmonic_scaling():
     # U_4 = 16 x^4 - 12 x^2 + 1, T_3 = 4 x^3 - 3 x
-    assert chebyshev_u(4) == Poly.exact([1, 0, -12, 0, 16])
-    assert chebyshev_t(3) == Poly.exact([0, -3, 0, 4])
+    assert chebyshev_u(4) == Poly([1, 0, -12, 0, 16])
+    assert t_hat(3).scale(4) == Poly([0, -3, 0, 4])
 
 
 def test_monic_leading_coefficient():

@@ -24,7 +24,7 @@ from sievedops.electrostatics import (
     theorem_zero_set,
     verify_theorem,
 )
-from sievedops.numerics import zeros
+from sievedops.numerics import partition_points, zeros
 from sievedops.recurrence import SievedFamily, SievedKind
 
 SYS = ChargeSystem(k=5, l=2, q=1.0)
@@ -32,7 +32,7 @@ SYS = ChargeSystem(k=5, l=2, q=1.0)
 
 def random_feasible(sys_, rng):
     """Feasible configuration with a safety margin from all fixed charges."""
-    pts = sys_.partition
+    pts = partition_points(sys_.k)
     out = []
     for j in range(sys_.k):
         lo, hi = pts[j], pts[j + 1]
@@ -242,7 +242,7 @@ def test_psi_phi_mn_identity():
     m_c, dm_c = float_coeffs(sp.m), float_coeffs(sp.m.derivative())
     phi_c, psi_c = float_coeffs(pd.phi), float_coeffs(pd.psi)
     rng = np.random.default_rng(0x5EED)
-    pts = sys_.partition
+    pts = partition_points(sys_.k)
     checked = 0
     while checked < 32:
         t = float(rng.uniform(-1, 1))

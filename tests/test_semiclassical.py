@@ -35,7 +35,7 @@ GRID = [
 
 def test_pearson_example_second_k3():
     fam = SievedFamily(SECOND, F(1, 2), 3)
-    assert pearson_data(fam).psi == Poly.exact([0, 5, 0, -8])
+    assert pearson_data(fam).psi == Poly([0, 5, 0, -8])
 
 
 def test_pearson_first_lambda0_d_zero():
@@ -67,7 +67,7 @@ def test_structure_pair_derived_example():
     # second kind, k=3, lam=1/2, N=2: M = -9 x^2 + 9/4 = -9(x^2 - 1/4)
     fam = SievedFamily(SECOND, F(1, 2), 3)
     sp = structure_pair(fam, 2)
-    assert sp.m == Poly.exact([F(-1, 4), 0, 1]).scale(-9)
+    assert sp.m == Poly([F(-1, 4), 0, 1]).scale(-9)
 
 
 def test_recursive_initial_conditions():
