@@ -259,6 +259,140 @@ def test_output_file_holds_the_stdout_bytes(argv, golden, tmp_path, capsys):
     assert path.read_bytes() == golden.encode()
 
 
+VERIFY_STRUCTURE_SECOND_K5 = """\
+{
+  "closed_form_matches_recursion": true,
+  "command": "verify-structure",
+  "k": 5,
+  "kind": "second",
+  "lambda": "-7/6",
+  "max_n": 16,
+  "residuals": {
+    "0": "zero",
+    "1": "zero",
+    "10": "zero",
+    "11": "zero",
+    "12": "zero",
+    "13": "zero",
+    "14": "zero",
+    "15": "zero",
+    "16": "zero",
+    "2": "zero",
+    "3": "zero",
+    "4": "zero",
+    "5": "zero",
+    "6": "zero",
+    "7": "zero",
+    "8": "zero",
+    "9": "zero"
+  },
+  "schema": 1
+}
+"""
+
+VERIFY_ODE_FIRST_K4 = """\
+{
+  "command": "verify-ode",
+  "k": 4,
+  "kind": "first",
+  "lambda": "3/2",
+  "max_n": 12,
+  "residuals": {
+    "0": "zero",
+    "1": "zero",
+    "10": "zero",
+    "11": "zero",
+    "12": "zero",
+    "2": "zero",
+    "3": "zero",
+    "4": "zero",
+    "5": "zero",
+    "6": "zero",
+    "7": "zero",
+    "8": "zero",
+    "9": "zero"
+  },
+  "schema": 1
+}
+"""
+
+GEN_POLY_CLASSICAL_FIRST_K3 = """\
+{
+  "coefficients": [
+    "0",
+    "-675/391",
+    "0",
+    "22698/391",
+    "0",
+    "-131040/391",
+    "0",
+    "295776/391",
+    "0",
+    "-292864/391",
+    "0",
+    "106496/391"
+  ],
+  "command": "gen-poly",
+  "k": 3,
+  "kind": "first",
+  "lambda": "7/3",
+  "n": 11,
+  "normalization": "classical",
+  "schema": 1
+}
+"""
+
+GEN_POLY_CLASSICAL_SECOND_K4 = """\
+{
+  "coefficients": [
+    "0",
+    "65/8",
+    "0",
+    "-273",
+    "0",
+    "2457",
+    "0",
+    "-9296",
+    "0",
+    "16968",
+    "0",
+    "-14784",
+    "0",
+    "4928"
+  ],
+  "command": "gen-poly",
+  "k": 4,
+  "kind": "second",
+  "lambda": "-1/4",
+  "n": 13,
+  "normalization": "classical",
+  "schema": 1
+}
+"""
+
+# both kinds through the closed-form pairs, Omega and, past n = 3k, the
+# kind's shifted block-coefficient slot in several block rows
+BOTH_KINDS_REPORTS = [
+    (["verify-structure", "--kind", "second", "--lambda=-7/6", "--k", "5",
+      "--max-n", "16"], VERIFY_STRUCTURE_SECOND_K5),
+    (["verify-ode", "--kind", "first", "--lambda", "3/2", "--k", "4",
+      "--max-n", "12"], VERIFY_ODE_FIRST_K4),
+    (["gen-poly", "--kind", "first", "--lambda", "7/3", "--k", "3", "--n", "11",
+      "--normalization", "classical"], GEN_POLY_CLASSICAL_FIRST_K3),
+    (["gen-poly", "--kind", "second", "--lambda=-1/4", "--k", "4", "--n", "13",
+      "--normalization", "classical"], GEN_POLY_CLASSICAL_SECOND_K4),
+]
+
+
+@pytest.mark.parametrize("argv,golden", BOTH_KINDS_REPORTS, ids=[
+    "verify-structure-second", "verify-ode-first", "gen-poly-classical-first",
+    "gen-poly-classical-second"])
+def test_both_kinds_report_golden(argv, golden, capsys):
+    rc = main(argv)
+    assert rc == 0
+    assert capsys.readouterr() == (golden, "")
+
+
 def test_emit_plot_figure2_golden(tmp_path, capsys):
     rc = main(["emit-plot", "--figure2", "--outdir", str(tmp_path),
                "--samples", "3"])
