@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chebyshev import ONE_MINUS_X2, u_hat
-from .numerics import _scaled_derivatives, interval_counts, partition_points, zeros
+from .numerics import interval_counts, partition_points, scaled_derivatives, zeros
 from .polycore import Poly
 from .recurrence import SievedFamily, SievedKind
 
@@ -319,7 +319,7 @@ def verify_theorem(sys: ChargeSystem, seed: int | None = None) -> dict:
 
     # (b) stationarity identity p''/p' = partial-fraction sum at each zero
     # a ratio, so the 2^n-scaled values serve and cannot underflow
-    _, dp, d2p = _scaled_derivatives(fam, sys.n, xz)
+    _, dp, d2p = scaled_derivatives(fam, sys.n, xz)
     ratio = d2p / dp
     report["stationarity_resid"] = float(
         np.max(np.abs(ratio - partial_fraction_rhs(sys, xz)))

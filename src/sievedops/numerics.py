@@ -4,14 +4,14 @@ Every float check runs on the monic three-term recurrence
 p_{m+1} = x p_m - gamma_m p_{m-1}, never on monomial coefficients, which
 cancel catastrophically from degree about 20.  Each family keeps one
 append-only table of gamma_m rounded to binary64, from which zeros() builds
-the Jacobi matrix, sieved_derivatives() the values p_n, p_n', p_n'' and
-gram_matrix() the Chebyshev coefficients of each p_m (Gautschi, Orthogonal
-Polynomials: Computation and Approximation, 2004).  Orthogonality is read
-off one Gram matrix G = C M C^T, where M holds the weight's Chebyshev
-modified moments: exact rationals, from which the mixed moments C M are
-carried exactly as integers through the modified Chebyshev algorithm and
-rounded once.  No quadrature rule is involved, and for an orthogonal
-family every off-diagonal entry of G is exactly 0.0.
+the Jacobi matrix, scaled_derivatives() the values of p_n, p_n' and p_n''
+times 2^n, and gram_matrix() the Chebyshev coefficients of each p_m
+(Gautschi, Orthogonal Polynomials: Computation and Approximation, 2004).
+Orthogonality is read off one Gram matrix G = C M C^T, where M holds the
+weight's Chebyshev modified moments: exact rationals, from which the mixed
+moments C M are carried exactly as integers through the modified Chebyshev
+algorithm and rounded once.  No quadrature rule is involved, and for an
+orthogonal family every off-diagonal entry of G is exactly 0.0.
 
 Everything here assumes the positive-definite range lam > -1/2, where the
 flattened recurrence coefficients are positive and the zeros are the
@@ -89,14 +89,15 @@ def zeros(fam: SievedFamily, n: int) -> ZeroSet:
     return ZeroSet(values=np.linalg.eigvalsh(jacobi), family=fam, n=n)
 
 
-def _scaled_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
+def scaled_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
     """2^n p_n(x), 2^n p_n'(x) and 2^n p_n''(x), stacked on a new first axis.
 
     Differentiating the recurrence once and twice gives
     p'_{m+1} = p_m + x p'_m - gamma_m p'_{m-1} and
     p''_{m+1} = 2 p'_m + x p''_m - gamma_m p''_{m-1}; all three run scaled
     by 2^m.  Ratios of these values equal the ratios of the unscaled ones
-    bit for bit, and stay finite past n = 1074, where 2^-n underflows.
+    bit for bit, and stay finite past n = 1074, where 2^-n underflows;
+    np.ldexp(values, -n) gives p_n, p_n', p_n'' where 2^-n is still normal.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -115,19 +116,9 @@ def _scaled_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
     return cur
 
 
-def sieved_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
-    """p_n(x), p_n'(x) and p_n''(x), stacked on a new first axis.
-
-    These are the scaled values times the exact 2^-n, which turns subnormal
-    past n = 1022 and underflows to zero near n = 1074; callers that only
-    take ratios use _scaled_derivatives.
-    """
-    return np.ldexp(_scaled_derivatives(fam, n, x), -n)
-
-
 def zero_residuals(z: ZeroSet) -> np.ndarray:
     """|p_n(x)| / (|p_n'(x)| * local spacing) at each computed zero."""
-    p, dp, _ = _scaled_derivatives(z.family, z.n, z.values)
+    p, dp, _ = scaled_derivatives(z.family, z.n, z.values)
     vals = z.values
     spacing = np.empty_like(vals)
     if len(vals) > 1:

@@ -53,11 +53,14 @@ def rat_from_str(s: str) -> Fraction:
 
 
 def _rational(c) -> Union[int, Fraction]:
-    """c as an int or Fraction; a float is refused rather than expanded."""
-    if isinstance(c, float):
-        raise TypeError(f"float {c!r} for an exact polynomial")
+    """c as an int or Fraction; a float is refused rather than expanded, and
+    a string must be 'p/q' or 'p' (rat_from_str)."""
     if isinstance(c, (int, Fraction)):
         return c
+    if isinstance(c, float):
+        raise TypeError(f"float {c!r} for an exact polynomial")
+    if isinstance(c, str):
+        return rat_from_str(c)
     return Fraction(c)
 
 

@@ -6,6 +6,11 @@ expresses p_{kn+j} through monic Chebyshev polynomials and a rescaled
 ultraspherical sequence q_n; mapping_residual checks that the two
 constructions agree exactly.
 
+The kinds differ by one block index (Al-Salam, Allaway and Askey, Trans.
+AMS 284, 1984): the second kind's terms at j are the first kind's at j + 1,
+with N = kn + j shifted by one.  The block coefficients and the mapping
+read the kind from that offset alone, SievedFamily.shift (0 first, 1 second).
+
 q_n obeys a monic three-term recurrence with the ultraspherical
 coefficients beta_n, so Q_n = q_n(T_hat(k)) obeys the same recurrence with
 T_hat(k) in place of x.  Each family keeps one append-only table of
@@ -54,34 +59,32 @@ class SievedFamily:
         object.__setattr__(self, "lam", Fraction(self.lam))
         _check_regular(self.lam)
 
+    @property
+    def shift(self) -> int:
+        """The kind's block-index shift: 0 for the first kind, 1 for the second."""
+        return int(self.kind == SievedKind.SECOND)
+
 
 def block_coeff(fam: SievedFamily, n: int, j: int) -> Fraction:
     """Recurrence coefficient a_n^(j) of the block recurrence.
 
     a_0^(0) is the conventional value 1; it multiplies p_{-1} = 0 and never
-    enters any computed polynomial.
+    enters any computed polynomial.  The kind's other special slot is
+    j = 1 - 2s mod k (1 for the first kind, k - 1 for the second), where
+    a = (r + 2 lam) / (4 (r + lam)) with r = n + s; at r = 0 this is
+    2 lam / (4 lam), taken as its lam -> 0 limit 1/2.
     """
     if not 0 <= j < fam.k:
         raise ValueError(f"block index j={j} outside [0, {fam.k - 1}]")
     if n < 0:
         raise ValueError(f"block row n={n} must be >= 0")
-    lam = fam.lam
-    if fam.kind == SievedKind.FIRST:
-        if j == 0:
-            a = Fraction(1) if n == 0 else Fraction(n, 1) / (4 * (n + lam))
-        elif j == 1:
-            # at n=0 the formula is 2*lam/(4*lam); its lam->0 limit is 1/2
-            a = Fraction(1, 2) if n == 0 else (n + 2 * lam) / (4 * (n + lam))
-        else:
-            a = QUARTER
-    else:
-        if j == 0:
-            a = Fraction(1) if n == 0 else Fraction(n, 1) / (4 * (n + lam))
-        elif j == fam.k - 1:
-            a = (n + 1 + 2 * lam) / (4 * (n + 1 + lam))
-        else:
-            a = QUARTER
-    return a
+    lam, s = fam.lam, fam.shift
+    if j == 0:
+        return Fraction(1) if n == 0 else Fraction(n, 1) / (4 * (n + lam))
+    if j == (1 - 2 * s) % fam.k:
+        r = n + s
+        return Fraction(1, 2) if r == 0 else (r + 2 * lam) / (4 * (r + lam))
+    return QUARTER
 
 
 def gamma_flat(fam: SievedFamily, m: int) -> Fraction:
@@ -115,11 +118,11 @@ def _q_step(fam: SievedFamily, y: Poly):
     """Step of the monic recurrence q_{n+1}(y) = y q_n(y) - beta_n q_{n-1}(y).
 
     q_n(y) = c^{-n} P_n(c y), c = 2^{k-1}, with P_n the monic ultraspherical
-    polynomial of parameter mu (lam for the first kind, lam + 1 for the
-    second), so beta_n = n (n + 2 mu - 1) / (4 (n + mu) (n + mu - 1)) / c^2;
-    at n = 1 in the cancelled form 1 / (2 (1 + mu)), valid also at mu = 0.
+    polynomial of parameter mu = lam + s, so
+    beta_n = n (n + 2 mu - 1) / (4 (n + mu) (n + mu - 1)) / c^2; at n = 1
+    in the cancelled form 1 / (2 (1 + mu)), valid also at mu = 0.
     """
-    mu = fam.lam if fam.kind == SievedKind.FIRST else fam.lam + 1
+    mu = fam.lam + fam.shift
     c2 = Fraction(4) ** (fam.k - 1)
 
     def beta(n: int) -> Fraction:
@@ -210,33 +213,27 @@ def pi_k_from_determinants(fam: SievedFamily) -> Poly:
 
 def mapping_cells(fam: SievedFamily, max_n: int) -> list:
     """The (n, j) that mapping_residual takes with kn + j <= max_n, by kn + j."""
-    lo = 1 if fam.kind == SievedKind.FIRST else 0
+    lo = 1 - fam.shift
     return [(m // fam.k, m % fam.k + lo) for m in range(max_n + 1 - lo)]
 
 
 def mapping_residual(fam: SievedFamily, n: int, j: int) -> Poly:
     """Exact difference between the recurrence and mapping constructions.
 
-    With Q_n = q_n(T_hat(k)) (composed_q):
-    Second kind (j in [0, k-1]):
-        p_{kn+j} - (U_hat(j) Q_n + 4^{-j} a_n^(0) U_hat(k-j-2) Q_{n-1})
-    First kind (j in [1, k]), multiplied through by U_hat(k-1):
-        U_hat(k-1) p_{kn+j} - (U_hat(j-1) Q_{n+1}
-                               + 4^{1-j} a_n^(1) U_hat(k-j-1) Q_n)
-    Both right sides read U_hat(i) Q_m + 4^{-i} a U_hat(k-i-2) Q_{m-1}, with
-    (m, i) = (n, j) for the second kind and (n + 1, j - 1) for the first.
+    With Q_n = q_n(T_hat(k)) (composed_q), j in [1 - s, k - s] and
+    (m, i, a) = (n + 1 - s, j - 1 + s, a_n^(1-s)):
+        p_{kn+j} - (U_hat(i) Q_m + 4^{-i} a U_hat(k-i-2) Q_{m-1}),
+    where for the first kind (s = 0) p_{kn+j} is multiplied through by
+    U_hat(k-1).
     """
-    k = fam.k
-    lo = 1 if fam.kind == SievedKind.FIRST else 0
-    hi = k - 1 + lo
+    k, s = fam.k, fam.shift
+    lo, hi = 1 - s, k - s
     if not lo <= j <= hi:
         raise ValueError(f"{fam.kind.value} kind needs j in [{lo}, {hi}], got {j}")
     lhs = sieved_monic(fam, k * n + j)
-    if fam.kind == SievedKind.FIRST:
+    if not s:
         lhs = u_hat(k - 1) * lhs
-        m, i, a = n + 1, j - 1, block_coeff(fam, n, 1)
-    else:
-        m, i, a = n, j, block_coeff(fam, n, 0)
+    m, i, a = n + 1 - s, j - 1 + s, block_coeff(fam, n, 1 - s)
     rhs = u_hat(i) * composed_q(fam, m)
     if m >= 1:
         rhs += (u_hat(k - i - 2) * composed_q(fam, m - 1)).scale(

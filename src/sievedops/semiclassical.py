@@ -6,6 +6,10 @@ Pearson data and the recurrence coefficients.  The recursion is the trusted
 oracle; the closed forms are what the tests put on trial.  Each family keeps
 one append-only table of the recursion, held in a cache bounded by
 TABLE_CACHE_SIZE and extended by one step (two products) per new index.
+
+The closed forms are written once for both kinds: with s = fam.shift (0 for
+the first kind, 1 for the second) and N = nk + j, the second kind's terms at
+j are the first kind's at j + 1 with N shifted by one.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from functools import lru_cache
 from .chebyshev import ONE_MINUS_X2, TABLE_CACHE_SIZE, grow, t_hat, table_cache, u_hat
 from .polycore import Poly, divide_exact, poly_gcd
 from .recurrence import SievedFamily, SievedKind, gamma_flat, sieved_monic
-
-U0 = Fraction(1)  # normalization <u, 1> := 1
 
 
 def _u(n: int) -> Poly:
@@ -36,7 +38,6 @@ class PearsonData:
     psi: Poly
     c: Poly
     d: Poly
-    u0: Fraction
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,12 @@ def pearson_data(fam: SievedFamily) -> PearsonData:
     if fam.kind == SievedKind.SECOND:
         psi = -((x * uk1).scale(2) + tk.scale(k * (2 * lam + 1)))
         c = -(x * uk1 + tk.scale(2 * k * lam))
-        d = (uk1 + t_hat(k - 1).scale(k * lam)).scale(-2 * U0)
+        d = (uk1 + t_hat(k - 1).scale(k * lam)).scale(-2)
     else:
         psi = -tk.scale(k * (2 * lam + 1))
         c = x * uk1 - tk.scale(2 * k * lam)
-        d = uk1.scale(-2 * k * lam * U0)
-    return PearsonData(phi=phi, psi=psi, c=c, d=d, u0=U0)
+        d = uk1.scale(-2 * k * lam)
+    return PearsonData(phi=phi, psi=psi, c=c, d=d)
 
 
 def _eps(fam: SievedFamily, j: int) -> Fraction:
@@ -79,82 +80,61 @@ def _eps(fam: SievedFamily, j: int) -> Fraction:
 
 
 def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
-    """Closed-form (M_N, N_N) with N = nk + j."""
+    """Closed-form (M_N, N_N) with N = nk + j.
+
+    With t = 2s - 1 and B(a, b) = U_hat(a) U_hat(b) - U_hat(a+t) U_hat(b-t):
+        M_N = -2 (N + s + lam k) U_hat(k-1) - (lam k / 2) B(j-1, k-j-2)
+        N_N = (N + 2s + 2 lam k) x U_hat(k-1) - lam k eps_j U_hat(k-2)
+              + (lam k / 8) B(j-1, k-j-3)
+    """
     if big_n < 0:
         raise ValueError("index must be >= 0")
-    k, lam = fam.k, fam.lam
-    n, j = divmod(big_n, k)
+    k, lam, s = fam.k, fam.lam, fam.shift
+    j = big_n % k
+    t = 2 * s - 1
     uk1 = u_hat(k - 1)
-    uk2 = u_hat(k - 2)
-    x = Poly.x()
     lk = lam * k
-    eps = _eps(fam, j)
-    if fam.kind == SievedKind.SECOND:
-        m = uk1.scale(-2 * (big_n + 1 + lk)) - (
-            _u(j - 1) * _u(k - j - 2) - _u(j) * _u(k - j - 3)
-        ).scale(lk / 2)
-        nn = (
-            (x * uk1).scale(big_n + 2 + 2 * lk)
-            - uk2.scale(lk * eps)
-            + (_u(j - 1) * _u(k - j - 3) - _u(j) * _u(k - j - 4)).scale(
-                lk / 8
-            )
-        )
-    else:
-        m = uk1.scale(-2 * (big_n + lk)) - (
-            _u(j - 1) * _u(k - j - 2) - _u(j - 2) * _u(k - j - 1)
-        ).scale(lk / 2)
-        nn = (
-            (x * uk1).scale(big_n + 2 * lk)
-            - uk2.scale(lk * eps)
-            + (_u(j - 1) * _u(k - j - 3) - _u(j - 2) * _u(k - j - 2)).scale(
-                lk / 8
-            )
-        )
+
+    def b(a: int, c: int) -> Poly:
+        return _u(a) * _u(c) - _u(a + t) * _u(c - t)
+
+    m = uk1.scale(-2 * (big_n + s + lk)) - b(j - 1, k - j - 2).scale(lk / 2)
+    nn = (
+        (Poly.x() * uk1).scale(big_n + 2 * s + 2 * lk)
+        - u_hat(k - 2).scale(lk * _eps(fam, j))
+        + b(j - 1, k - j - 3).scale(lk / 8)
+    )
     return StructurePair(m=m, n=nn)
 
 
 def structure_pair_alternate(fam: SievedFamily, big_n: int) -> StructurePair:
-    """The remark-style (M_N, N_N) built from single Chebyshev terms."""
-    k, lam = fam.k, fam.lam
-    n, j = divmod(big_n, k)
+    """The remark-style (M_N, N_N) built from single Chebyshev terms.
+
+    The first kind's terms at i = j + s, signed (-1)^s, with
+    delta = [i mod k != 0]; the first kind keeps 2 lam k on x U_hat(k-1)
+    at every j.
+    """
+    k, lam, s = fam.k, fam.lam, fam.shift
+    i = big_n % k + s
     uk1 = u_hat(k - 1)
-    uk2 = u_hat(k - 2)
-    x = Poly.x()
     lk = lam * k
     four = Fraction(4)
-    if fam.kind == SievedKind.SECOND:
-        delta_j = Fraction(1) if j <= k - 2 else Fraction(0)
-        if j <= (k - 3) // 2:
-            ukj = _u(k - 3 - 2 * j).scale(-(four ** (-j)))
-        else:
-            ukj = _u(2 * j - k + 1).scale(four ** (-k + j + 2))
-        if j <= (k - 4) // 2:
-            vkj = _u(k - 4 - 2 * j).scale(-(four ** (-j - 2)))
-        else:
-            vkj = _u(2 * j - k + 2).scale(four ** (-k + j + 1))
-        m = uk1.scale(-2 * (big_n + 1 + lk * delta_j)) - ukj.scale(lk / 2)
-        nn = (
-            (x * uk1).scale(big_n + 2 + 2 * lk * delta_j)
-            - uk2.scale(lk / 2)
-            + vkj.scale(2 * lk)
-        )
+    sign = (-1) ** s
+    delta = int(i % k != 0)
+    if i <= (k - 1) // 2:
+        ukj = _u(k - 1 - 2 * i).scale(sign * four ** (1 - i))
     else:
-        delta_j = Fraction(0) if j == 0 else Fraction(1)
-        if j <= (k - 1) // 2:
-            ukj = _u(k - 1 - 2 * j).scale(four ** (1 - j))
-        else:
-            ukj = _u(2 * j - k - 1).scale(-(four ** (-k + j + 1)))
-        if j <= (k - 2) // 2:
-            vkj = _u(k - 2 - 2 * j).scale(four ** (-j))
-        else:
-            vkj = _u(2 * j - k).scale(-(four ** (-k + j + 1)))
-        m = uk1.scale(-2 * (big_n + lk * delta_j)) - ukj.scale(lk / 2)
-        nn = (
-            (x * uk1).scale(big_n + 2 * lk)
-            - uk2.scale(lk / 2)
-            + vkj.scale(lk / 2)
-        )
+        ukj = _u(2 * i - k - 1).scale(-sign * four ** (-k + i + 1))
+    if i <= (k - 2) // 2:
+        vkj = _u(k - 2 - 2 * i).scale(sign * four ** (-i))
+    else:
+        vkj = _u(2 * i - k).scale(-sign * four ** (-k + i + 1))
+    m = uk1.scale(-2 * (big_n + s + lk * delta)) - ukj.scale(lk / 2)
+    nn = (
+        (Poly.x() * uk1).scale(big_n + 2 * s + 2 * lk * max(delta, 1 - s))
+        - u_hat(k - 2).scale(lk / 2)
+        + vkj.scale(lk / 2)
+    )
     return StructurePair(m=m, n=nn)
 
 
@@ -163,11 +143,11 @@ def _pair_table(fam: SievedFamily) -> list:
     """The family's append-only table for the Pearson-driven recursion.
 
     Entry N + 1 is (M_N, N_N, M_{N+1}): the pair at index N and the M the
-    next step needs.  Entry 0 is the start (M_{-1}, N_{-1}, M_0) =
-    (0, -C, D / u0).
+    next step needs.  Entry 0 is the start (M_{-1}, N_{-1}, M_0) = (0, -C, D),
+    with the moment functional normalised to <u, 1> = 1.
     """
     pd = pearson_data(fam)
-    return [(Poly.zero(), -pd.c, pd.d.scale(1 / pd.u0))]
+    return [(Poly.zero(), -pd.c, pd.d)]
 
 
 def structure_pair_recursive(fam: SievedFamily, big_n: int) -> StructurePair:
@@ -201,17 +181,14 @@ def structure_residual(fam: SievedFamily, big_n: int) -> Poly:
 
 
 def _omega(fam: SievedFamily, big_n: int) -> Poly:
-    k, lam = fam.k, fam.lam
-    n, j = divmod(big_n, k)
-    uk1 = u_hat(k - 1)
+    """(N+1)(N + 2s + 2 lam k) U_hat(k-1) + (1 - 2s)(lam k / 2)
+    U_hat(i-1) U_hat(k-i-2), with i = j + s."""
+    k, lam, s = fam.k, fam.lam, fam.shift
+    i = big_n % k + s
     lk = lam * k
-    if fam.kind == SievedKind.SECOND:
-        return uk1.scale((big_n + 1) * (big_n + 2 + 2 * lk)) - (
-            _u(j) * _u(k - j - 3)
-        ).scale(lk / 2)
-    return uk1.scale((big_n + 1) * (big_n + 2 * lk)) + (
-        _u(j - 1) * _u(k - j - 2)
-    ).scale(lk / 2)
+    return u_hat(k - 1).scale((big_n + 1) * (big_n + 2 * s + 2 * lk)) + (
+        _u(i - 1) * _u(k - i - 2)
+    ).scale((1 - 2 * s) * lk / 2)
 
 
 def ode_data(fam: SievedFamily, big_n: int) -> OdeData:

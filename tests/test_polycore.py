@@ -161,6 +161,13 @@ def test_poly_serialization_round_trip():
     assert Poly(p.to_strings()) == p
 
 
+def test_poly_string_coefficients_are_strict():
+    # string coefficients go through rat_from_str: 'p/q' or 'p' only
+    for text in ("0.5", "1e1"):
+        with pytest.raises(ValueError):
+            Poly([text])
+
+
 @given(polys, polys, polys)
 @settings(max_examples=60, deadline=None)
 def test_ring_laws(f, g, h):

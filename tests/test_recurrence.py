@@ -50,6 +50,17 @@ def test_family_validation():
     SievedFamily(FIRST, F(-1, 4), 4)
 
 
+def test_shift_is_read_only_and_follows_the_kind():
+    assert FAM_C10.shift == 0 and FAM_B14.shift == 1
+    with pytest.raises(AttributeError):
+        FAM_C10.shift = 1
+    # the second kind's special slot in row n is the first kind's in row n + 1
+    for lam in (F(0), F(3, 2), F(-7, 6)):
+        first, second = SievedFamily(FIRST, lam, 5), SievedFamily(SECOND, lam, 5)
+        for n in range(4):
+            assert block_coeff(second, n, 4) == block_coeff(first, n + 1, 1)
+
+
 def test_block_coeff_examples():
     assert block_coeff(FAM_C10, 1, 0) == F(1, 10)
     fam = SievedFamily(SECOND, F(1, 2), 4)

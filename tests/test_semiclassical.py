@@ -74,7 +74,7 @@ def test_recursive_initial_conditions():
     fam = SievedFamily(SECOND, F(3, 2), 4)
     pd = pearson_data(fam)
     sp0 = structure_pair_recursive(fam, 0)
-    assert sp0.m == pd.d.scale(1 / pd.u0)
+    assert sp0.m == pd.d
     assert sp0.n == -(Poly.x() * sp0.m)
 
 
