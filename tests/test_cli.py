@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sievedops
+from sievedops import numerics
 from sievedops.cli import main
 from sievedops.recurrence import SievedFamily, SievedKind, classical_sieved
 
@@ -164,6 +166,34 @@ def test_orthogonality_degree_400(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["failures"] == [] and out["worst_defect"] < 1e-12
+
+
+def test_orthogonality_planted_error_report(monkeypatch, capsys):
+    # mu_{2k} off by one part in 2^30: the failures and the worst defect are
+    # those of one Gram matrix, |G[m, n]| / sqrt(G[m, m] G[n, n]) over m < n,
+    # pinned against G, since its entries come from a BLAS product
+    fam = SievedFamily(SievedKind.FIRST, F(3, 2), 5)
+    exact = numerics.chebyshev_moments
+
+    def perturbed(family, top):
+        mu = exact(family, top)
+        mu[2 * family.k] *= 1 + F(1, 2**30)
+        return mu
+
+    monkeypatch.setattr(numerics, "chebyshev_moments", perturbed)
+    rc = main(["orthogonality", "--kind", "first", "--lambda", "3/2", "--k", "5",
+               "--max-n", "16"])
+    report = json.loads(capsys.readouterr().out)
+    g = numerics.gram_matrix(fam, 16)
+    defects = {(m, n): abs(g[m, n]) / math.sqrt(g[m, m] * g[n, n])
+               for m in range(17) for n in range(m + 1, 17)}
+    assert rc == 1
+    assert report["failures"] == [[m, n] for (m, n), d in defects.items()
+                                  if d >= 1e-9]
+    assert report["worst_defect"] == max(defects.values())
+    # the defect is symmetric in (m, n), whichever triangle holds it
+    assert (numerics.orthogonality_defect(fam, 12, 2)
+            == numerics.orthogonality_defect(fam, 2, 12) > 0)
 
 
 def loaded_by_cli_import(module):
