@@ -18,6 +18,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import chebyshev, electrostatics, numerics, recurrence, semiclassical
 from .polycore import Poly, rat_from_str
 from .recurrence import SievedFamily, SievedKind
@@ -115,20 +117,18 @@ def cmd_zeros(args):
     zs = numerics.zeros(_family(args), args.n)
     worst = float(numerics.zero_residuals(zs).max())
     ok = worst < args.tol  # False for a NaN residual
-    return {"n": args.n, "zeros": [float(v) for v in zs.values],
+    return {"n": args.n, "zeros": zs.values.tolist(),
             "max_residual": worst if math.isfinite(worst) else None,
             "pass": ok}, ok
 
 
 def cmd_orthogonality(args):
-    fam = _family(args)
-    pairs = [(m, n) for m in range(args.max_n + 1)
-             for n in range(m + 1, args.max_n + 1)]
-    defs = numerics.orthogonality_defects(fam, pairs)
-    worst = max(defs) if defs else 0.0
-    failures = [list(p) for p, d in zip(pairs, defs) if d >= args.tol]
-    return {"max_n": args.max_n, "tol": args.tol, "worst_defect": worst,
-            "failures": failures}, not failures
+    defects = numerics.orthogonality_defects(_family(args), args.max_n)
+    # the defects of m < n, 0.0 elsewhere; argwhere goes (0, 1), (0, 2), ...
+    upper = np.triu(defects, 1)
+    failures = np.argwhere(upper >= args.tol).tolist()
+    return {"max_n": args.max_n, "tol": args.tol,
+            "worst_defect": float(upper.max()), "failures": failures}, not failures
 
 
 def cmd_equilibrium(args):
@@ -145,7 +145,7 @@ def cmd_equilibrium(args):
         "k": args.k,
         "l": args.l,
         "q": args.q,
-        "x_star": [float(v) for v in res.x_star],
+        "x_star": res.x_star.tolist(),
         "energy": res.energy,
         "grad_inf_norm": res.grad_inf_norm,
         "hessian_pd": res.hessian_pd,

@@ -7,11 +7,11 @@ append-only table of gamma_m rounded to binary64, from which zeros() builds
 the Jacobi matrix, scaled_derivatives() the values of p_n, p_n' and p_n''
 times 2^n, and gram_matrix() the Chebyshev coefficients of each p_m
 (Gautschi, Orthogonal Polynomials: Computation and Approximation, 2004).
-Orthogonality is read off one Gram matrix G = C M C^T, where M holds the
-weight's Chebyshev modified moments: exact rationals, from which the mixed
-moments C M are carried exactly as integers through the modified Chebyshev
-algorithm and rounded once.  No quadrature rule is involved, and for an
-orthogonal family every off-diagonal entry of G is exactly 0.0.
+Orthogonality is read off the upper triangle of one Gram matrix G = C M C^T,
+where M holds the weight's Chebyshev modified moments: exact rationals, from
+which the mixed moments C M are carried exactly as integers through the
+modified Chebyshev algorithm and rounded once.  No quadrature rule is
+involved, and for an orthogonal family every off-diagonal entry is 0.0.
 
 Everything here assumes the positive-definite range lam > -1/2, where the
 flattened recurrence coefficients are positive and the zeros are the
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -183,21 +182,22 @@ def chebyshev_moments(fam: SievedFamily, top: int) -> list:
 
 
 def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
-    """G[i, j] = <r_i, r_j> / <1> for i, j = 0..n, where r_m = 2^m p_m.
+    """G[i, j] = <r_i, r_j> / <1> for i <= j <= n, 0.0 below; r_m = 2^m p_m.
 
-    The power of two keeps the leading Chebyshev coefficient of r_m at 2,
-    so nothing underflows at high degree.  Row m of C holds the Chebyshev-T coefficients of r_m, from
-    r_{m+1} = 2x r_m - 4 gamma_m r_{m-1} with 2x T_0 = 2 T_1 and
-    2x T_d = T_{d+1} + T_{d-1}.  With M[a, b] = (mu_{a+b} + mu_{|a-b|}) / 2,
-    G = C M C^T = C S^T for the mixed moments S[m, a] = <r_m, T_a> / <1>.
-    Row 0 of S is mu; the same recurrence, moved onto T_a, gives the modified
-    Chebyshev algorithm <r_{m+1}, T_a> = <r_m, T_{a+1}> + <r_m, T_{|a-1|}>
-    - 4 gamma_m <r_{m-1}, T_a> (Gautschi, Orthogonal Polynomials:
-    Computation and Approximation, 2004, 2.1.7), with row m valid up to
-    a = 2n - m.  S is carried exactly, as integer rows over one common
-    denominator, and rounded once, so its entries a < m are the exact zeros
-    of orthogonality.  G[i, j], i <= j, sums C[i, a] S[j, a] over a <= i
-    only, so only the entries a <= m of row m are rounded.
+    The power of two keeps the leading Chebyshev coefficient of r_m at 2, so
+    nothing underflows at high degree.  Row m of C holds the Chebyshev-T
+    coefficients of r_m, from r_{m+1} = 2x r_m - 4 gamma_m r_{m-1} with
+    2x T_0 = 2 T_1 and 2x T_d = T_{d+1} + T_{d-1}.  With
+    M[a, b] = (mu_{a+b} + mu_{|a-b|}) / 2, G = C M C^T = C S^T for the mixed
+    moments S[m, a] = <r_m, T_a> / <1>.  Row 0 of S is mu; the same
+    recurrence, moved onto T_a, gives the modified Chebyshev algorithm
+    <r_{m+1}, T_a> = <r_m, T_{a+1}> + <r_m, T_{|a-1|}> - 4 gamma_m
+    <r_{m-1}, T_a> (Gautschi, Orthogonal Polynomials: Computation and
+    Approximation, 2004, 2.1.7), with row m valid up to a = 2n - m.  S is
+    carried exactly, as integer rows over one common denominator, and
+    rounded once, so its entries a < m are the exact zeros of
+    orthogonality.  G[i, j], i <= j, sums C[i, a] S[j, a] over a <= i only,
+    so only the entries a <= m of row m are rounded.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -225,28 +225,28 @@ def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
                                   in zip(cur[1:], down, prev)], q
         scale *= q
         s[m + 1, :m + 2] = [v / scale for v in cur[:m + 2]]
-    g = np.triu(c @ s.T)
-    return g + np.triu(g, 1).T
+    return np.triu(c @ s.T)
 
 
-def orthogonality_defects(fam: SievedFamily, pairs) -> list:
-    """orthogonality_defect of each pair (m, n), in order, from one Gram
-    matrix."""
-    pairs = list(pairs)
-    mn = np.fromiter(chain.from_iterable(pairs), dtype=np.intp,
-                     count=2 * len(pairs)).reshape(-1, 2)
-    if mn.min(initial=0) < 0:
-        raise ValueError(f"degree must be >= 0, got {mn.min()}")
-    g = gram_matrix(fam, int(mn.max(initial=0)))
-    m, n = mn.T
+def orthogonality_defects(fam: SievedFamily, n: int) -> np.ndarray:
+    """The defect matrix D of degrees 0..n, from one Gram matrix G.
+
+    Above the diagonal D[i, j] = |G[i, j]| / sqrt(G[i, i] G[j, j]); the
+    diagonal holds 1.0 and the entries below it 0.0.
+    """
+    g = gram_matrix(fam, n)
     diag = np.diagonal(g)
-    defects = np.abs(g[m, n]) / np.sqrt(diag[m] * diag[n])
-    return np.where(m == n, 1.0, defects).tolist()
+    defects = np.triu(np.abs(g) / np.sqrt(np.outer(diag, diag)), 1)
+    np.fill_diagonal(defects, 1.0)
+    return defects
 
 
 def orthogonality_defect(fam: SievedFamily, m: int, n: int) -> float:
     """|<p_m, p_n>| / sqrt(<p_m, p_m> <p_n, p_n>) from the moments."""
-    return orthogonality_defects(fam, [(m, n)])[0]
+    lo, hi = sorted((m, n))
+    if lo < 0:
+        raise ValueError(f"degree must be >= 0, got {lo}")
+    return float(orthogonality_defects(fam, hi)[lo, hi])
 
 
 def partition_points(k: int) -> np.ndarray:

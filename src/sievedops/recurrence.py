@@ -188,13 +188,9 @@ def delta(fam: SievedFamily, n: int, i: int, j: int) -> Poly:
 
     if j < i - 2:
         return Poly.zero()
-    if j == i - 2:
-        return Poly.one()
-    x = Poly.x()
-    prev, cur = Poly.one(), x
-    for col in range(i, j + 1):
-        prev, cur = cur, x * cur - prev.scale(a_at(col))
-    return cur
+    # entry m is the m x m determinant, coupled by a_at(i) .. a_at(i + m - 2)
+    return grow([Poly.one(), Poly.x()], j - i + 2,
+                three_term_step(lambda m: a_at(i + m - 1)))
 
 
 def pi_k_from_determinants(fam: SievedFamily) -> Poly:

@@ -146,7 +146,7 @@ def test_orthogonality_degree_30(kind, lam):
 def test_orthogonality_defects_one_gram_matrix():
     fam = SievedFamily(SECOND, F(1, 2), 4)
     pairs = [(m, n) for n in range(13) for m in range(n)]
-    batch = orthogonality_defects(fam, pairs)
+    batch = [orthogonality_defects(fam, 12)[m, n] for m, n in pairs]
     single = [orthogonality_defect(fam, m, n) for m, n in pairs]
     assert batch == single
     assert max(batch) < 1e-9
@@ -155,6 +155,18 @@ def test_orthogonality_defects_one_gram_matrix():
     assert np.all(np.isfinite(g)) and np.min(np.diag(g)) > 0.1
     with pytest.raises(ValueError):
         orthogonality_defect(fam, -1, 2)
+
+
+def test_defect_matrix_layout():
+    # defects above the diagonal, 1.0 on it and 0.0 below it, read off a
+    # Gram matrix held as its upper triangle
+    d = orthogonality_defects(FAM_C10, 8)
+    assert d.shape == (9, 9)
+    assert np.array_equal(np.tril(d), np.eye(9))
+    assert not np.tril(gram_matrix(FAM_C10, 8), -1).any()
+    assert orthogonality_defects(FAM_C10, 0).tolist() == [[1.0]]
+    with pytest.raises(ValueError):
+        orthogonality_defects(FAM_C10, -1)
 
 
 @pytest.mark.parametrize("kind,lam,k,n", [
@@ -190,7 +202,8 @@ def test_planted_moment_error_caught(monkeypatch):
     monkeypatch.setattr(numerics, "chebyshev_moments", perturbed)
     assert np.triu(gram_matrix(fam, 24), 1).any()
     pairs = [(m, n) for n in range(10, 25) for m in range(n)]
-    assert max(orthogonality_defects(fam, pairs)) >= 1e-9
+    defects = orthogonality_defects(fam, 24)
+    assert max(defects[m, n] for m, n in pairs) >= 1e-9
 
 
 def test_orthogonality_singular_weight():
@@ -202,7 +215,8 @@ def test_orthogonality_singular_weight():
     pairs = [(m, n) for n in range(31) for m in range(n)]
     for kind in (FIRST, SECOND):
         for lam in (F(-1, 4), F(-1, 3)):
-            assert max(orthogonality_defects(SievedFamily(kind, lam, 4), pairs)) < 1e-9
+            defects = orthogonality_defects(SievedFamily(kind, lam, 4), 30)
+            assert max(defects[m, n] for m, n in pairs) < 1e-9
 
 
 def _chebyshev_coeffs(p):
