@@ -146,7 +146,8 @@ def test_orthogonality_degree_30(kind, lam):
 def test_orthogonality_defects_one_gram_matrix():
     fam = SievedFamily(SECOND, F(1, 2), 4)
     pairs = [(m, n) for n in range(13) for m in range(n)]
-    batch = [orthogonality_defects(fam, 12)[m, n] for m, n in pairs]
+    defects = orthogonality_defects(fam, 12)
+    batch = [defects[m, n] for m, n in pairs]
     single = [orthogonality_defect(fam, m, n) for m, n in pairs]
     assert batch == single
     assert max(batch) < 1e-9
