@@ -28,8 +28,7 @@ SCHEMA = 1
 
 
 def _family(args) -> SievedFamily:
-    kind = SievedKind.FIRST if args.kind == "first" else SievedKind.SECOND
-    return SievedFamily(kind=kind, lam=rat_from_str(args.lam), k=args.k)
+    return SievedFamily(SievedKind(args.kind), rat_from_str(args.lam), args.k)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -213,10 +212,9 @@ def cmd_emit_plot(args) -> int:
         print("emit-plot needs --figure2 or --poly", file=sys.stderr)
         return 2
     kind, lam, k, n = args.poly.split(":")
-    kinds = {"first": SievedKind.FIRST, "second": SievedKind.SECOND}
-    if kind not in kinds:
+    if kind not in ("first", "second"):
         raise ValueError(f"--poly kind must be 'first' or 'second', got {kind!r}")
-    fam = SievedFamily(kinds[kind], rat_from_str(lam), int(k))
+    fam = SievedFamily(SievedKind(kind), rat_from_str(lam), int(k))
     poly = recurrence.classical_sieved(fam, int(n))
     _write(_csv_points(poly, -1.1, 1.1, args.samples), args.output)
     return 0

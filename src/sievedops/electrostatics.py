@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import semiclassical
 from .chebyshev import ONE_MINUS_X2, u_hat
 from .numerics import interval_counts, partition_points, scaled_derivatives, zeros
 from .polycore import Poly
@@ -304,8 +305,6 @@ def verify_theorem(sys: ChargeSystem, seed: int | None = None) -> dict:
     seed is unused: no check draws random points.  It is accepted so that
     callers that still pass one keep working.
     """
-    from .semiclassical import pearson_data
-
     fam = SievedFamily(kind=SievedKind.FIRST, lam=sys.lam, k=sys.k)
     zs = zeros(fam, sys.n)
     xz = zs.values
@@ -340,7 +339,7 @@ def verify_theorem(sys: ChargeSystem, seed: int | None = None) -> dict:
     # 2 lam + 1 at each cos(j pi/k); times Phi = (1 - x^2) U_hat(k-1) their
     # sum is (2 lam + 1)((1 - x^2) U_hat' - x U_hat), compared exactly
     u = u_hat(sys.k - 1)
-    residual = pearson_data(fam).psi - (
+    residual = semiclassical.pearson_data(fam).psi - (
         ONE_MINUS_X2 * u.derivative() - Poly.x() * u
     ).scale(2 * fam.lam + 1)
     report["psi_phi_resid"] = float(max(map(abs, residual.coeffs), default=0))

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chebyshev import grow, table_cache
-from .recurrence import SievedFamily, SievedKind, gamma_flat
+from .recurrence import SievedFamily, gamma_flat
 
 
 class UnsupportedRangeError(ValueError):
@@ -149,7 +149,7 @@ def weight(fam: SievedFamily, x: float) -> float:
         raise DomainError(f"x={x} outside the open interval (-1, 1)")
     lam = float(fam.lam)
     u = abs(chebyshev_u_float(fam.k - 1, x))
-    exp_edge = lam + 0.5 if fam.kind == SievedKind.SECOND else lam - 0.5
+    exp_edge = lam + (fam.shift - 0.5)
     if u == 0.0 and lam < 0:
         return math.inf  # the density's pole at a zero of U_{k-1}
     return (1.0 - x * x) ** exp_edge * u ** (2.0 * lam)
@@ -171,7 +171,7 @@ def chebyshev_moments(fam: SievedFamily, top: int) -> list:
     nu = Fraction(1)
     for j in range((top + 2) // (2 * fam.k) + 1):
         d = 2 * fam.k * j
-        if fam.kind == SievedKind.SECOND:
+        if fam.shift:
             # mu_2 takes nu_0 / 2 only once
             mu[d + 2] -= nu / 2
             if d:

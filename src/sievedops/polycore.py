@@ -362,4 +362,4 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         a, b = b, divmod_poly(a, b)[1]
     if a.is_zero():
         return a
-    return a.scale(1 / Fraction(a.leading()))
+    return a.scale(1 / a.leading())

@@ -155,17 +155,12 @@ def composed_q(fam: SievedFamily, n: int) -> Poly:
 
 def monic_normalizer(fam: SievedFamily, n: int) -> Fraction:
     """Factor nu with p_n = nu * (classical sieved polynomial of degree n)."""
-    lam = fam.lam
-    if fam.kind == SievedKind.SECOND:
-        blk = n // fam.k
-        return shifted_factorial(Fraction(1), blk) / (
-            Fraction(2) ** n * shifted_factorial(lam + 1, blk)
-        )
     if n == 0:
         return Fraction(1)
-    blk = (n - 1) // fam.k
-    return shifted_factorial(2 * lam + 1, blk) / (
-        Fraction(2) ** (n - 1) * shifted_factorial(lam + 1, blk)
+    lam, s = fam.lam, fam.shift
+    blk = (n - 1 + s) // fam.k
+    return shifted_factorial(2 * lam * (1 - s) + 1, blk) / (
+        Fraction(2) ** (n - 1 + s) * shifted_factorial(lam + 1, blk)
     )
 
 
@@ -194,17 +189,17 @@ def delta(fam: SievedFamily, n: int, i: int, j: int) -> Poly:
 
 
 def pi_k_from_determinants(fam: SievedFamily) -> Poly:
-    """The mapping polynomial assembled from determinant data: equals T_hat(k)."""
+    """The mapping polynomial assembled from determinant data: equals T_hat(k).
+
+    For the first kind it is the plain k x k determinant Delta_0(1, k-1).
+    The second kind's row k-1 couples to the next block row through
+    a_0^(k) = a_1^(0), and subtracts that wrap term a_1^(0) Delta_0(k+2, 2k-2).
+    """
     k = fam.k
-    if fam.kind == SievedKind.FIRST:
-        # m = 0: theta_0 = 1, eta_{k-1} = Delta_0(2, k-1)
-        return delta(fam, 0, 1, 0) * delta(fam, 0, 2, k - 1) - delta(
-            fam, 0, 3, k - 1
-        ).scale(block_coeff(fam, 0, 1))
-    # m = k-1: eta_0 = 1; a_0^(k) wraps to a_1^(0)
-    return delta(fam, 0, 1, k - 1) - delta(fam, 0, k + 2, 2 * k - 2).scale(
-        block_coeff(fam, 1, 0)
-    )
+    pi = delta(fam, 0, 1, k - 1)
+    if fam.shift:
+        pi -= delta(fam, 0, k + 2, 2 * k - 2).scale(block_coeff(fam, 1, 0))
+    return pi
 
 
 def mapping_cells(fam: SievedFamily, max_n: int) -> list:

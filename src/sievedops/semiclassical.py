@@ -7,9 +7,10 @@ oracle; the closed forms are what the tests put on trial.  Each family keeps
 one append-only table of the recursion, held in a cache bounded by
 TABLE_CACHE_SIZE and extended by one step (two products) per new index.
 
-The closed forms are written once for both kinds: with s = fam.shift (0 for
-the first kind, 1 for the second) and N = nk + j, the second kind's terms at
-j are the first kind's at j + 1 with N shifted by one.
+The Pearson data, eps_j and the closed forms are written once for both kinds
+through s = fam.shift (0 for the first kind, 1 for the second), and C is
+Psi - Phi'.  With N = nk + j, the second kind's terms at j are the first
+kind's at j + 1 with N shifted by one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 from .chebyshev import ONE_MINUS_X2, TABLE_CACHE_SIZE, grow, t_hat, table_cache, u_hat
 from .polycore import Poly, divide_exact, poly_gcd
-from .recurrence import SievedFamily, SievedKind, gamma_flat, sieved_monic
+from .recurrence import SievedFamily, gamma_flat, sieved_monic
 
 
 def _u(n: int) -> Poly:
@@ -55,28 +56,25 @@ class OdeData:
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def pearson_data(fam: SievedFamily) -> PearsonData:
-    k, lam = fam.k, fam.lam
-    x = Poly.x()
+    """(Phi, Psi, C, D) through s = fam.shift.
+
+    D's U_hat(k-3) term comes from the second kind's -2 lam k T_hat(k-1),
+    written through T_hat(k-1) = U_hat(k-1) - U_hat(k-3) / 4.
+    """
+    k, s = fam.k, fam.shift
+    lk = fam.lam * k
     uk1 = u_hat(k - 1)
-    tk = t_hat(k)
     phi = ONE_MINUS_X2 * uk1
-    if fam.kind == SievedKind.SECOND:
-        psi = -((x * uk1).scale(2) + tk.scale(k * (2 * lam + 1)))
-        c = -(x * uk1 + tk.scale(2 * k * lam))
-        d = (uk1 + t_hat(k - 1).scale(k * lam)).scale(-2)
-    else:
-        psi = -tk.scale(k * (2 * lam + 1))
-        c = x * uk1 - tk.scale(2 * k * lam)
-        d = uk1.scale(-2 * k * lam)
-    return PearsonData(phi=phi, psi=psi, c=c, d=d)
+    psi = -((Poly.x() * uk1).scale(2 * s) + t_hat(k).scale(k + 2 * lk))
+    d = uk1.scale(-2 * (s + lk)) + u_hat(k - 3).scale(s * lk / 2)
+    return PearsonData(phi=phi, psi=psi, c=psi - phi.derivative(), d=d)
 
 
 def _eps(fam: SievedFamily, j: int) -> Fraction:
+    """1 at j = k - 1, 0 at j + 2s = 0 mod k, 1/2 elsewhere."""
     if j == fam.k - 1:
         return Fraction(1)
-    if fam.kind == SievedKind.SECOND:
-        return Fraction(0) if j == fam.k - 2 else Fraction(1, 2)
-    return Fraction(0) if j == 0 else Fraction(1, 2)
+    return Fraction(0) if (j + 2 * fam.shift) % fam.k == 0 else Fraction(1, 2)
 
 
 def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
@@ -238,10 +236,6 @@ def semiclassical_class(fam: SievedFamily) -> ClassInfo:
     g = poly_gcd(pd.phi, pd.c)
     if not pd.d.is_zero():
         g = poly_gcd(g, pd.d)
-    phi = divide_exact(pd.phi, g)
-    c = divide_exact(pd.c, g)
-    d = pd.d if pd.d.is_zero() else divide_exact(pd.d, g)
-    deg_c = c.degree
-    deg_d = d.degree  # -inf for the zero polynomial
-    s = int(max(deg_c - 1, deg_d))
+    # degrees of C / g and D / g; a zero D keeps degree -inf
+    s = int(max(pd.c.degree - g.degree - 1, pd.d.degree - g.degree))
     return ClassInfo(value=s, classical=(s == 0))
