@@ -102,6 +102,25 @@ def test_structure_residual_zero(fam):
         assert structure_residual(fam, big_n).is_zero(), (fam, big_n)
 
 
+BLOCK_GRID = [
+    SievedFamily(kind, lam, k)
+    for kind in (FIRST, SECOND)
+    for lam in (F(3, 2), F(-1, 4), F(0), F(7, 3))
+    for k in (3, 4, 5, 7)
+]
+
+
+@pytest.mark.parametrize("fam", BLOCK_GRID, ids=str)
+def test_pair_and_omega_over_ten_blocks(fam):
+    # ten whole blocks: the closed pair against the recursion, Omega against
+    # the exact division by Phi
+    for big_n in range(10 * fam.k + 1):
+        closed = structure_pair(fam, big_n)
+        rec = structure_pair_recursive(fam, big_n)
+        assert (closed.m, closed.n) == (rec.m, rec.n), (fam, big_n)
+        assert _omega(fam, big_n) == omega_generic(fam, big_n), (fam, big_n)
+
+
 def test_structure_residual_negative_lambda_case():
     fam = SievedFamily(FIRST, F(-1, 4), 3)
     assert structure_residual(fam, 7).is_zero()
