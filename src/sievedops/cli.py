@@ -172,7 +172,7 @@ def _csv_points(poly: Poly, lo: float, hi: float, samples: int) -> str:
     for i in range(samples):
         x = lo + (hi - lo) * i / (samples - 1)
         try:
-            y = float(poly.evaluate(Fraction(x)))
+            y = poly.value_at(x)
         except OverflowError:
             raise ValueError(
                 f"the value at x={x!r} is past the binary64 range"

@@ -177,6 +177,19 @@ class Poly:
         # acc = sum of n_i xn^i xd^(d-i), the value times den * xd^d
         return Fraction(acc, self.denominator * xd ** max(d, 0))
 
+    def value_at(self, x: float) -> float:
+        """The exact value at the float x = xn / 2^e, rounded once.
+
+        Horner as in evaluate with c << e t in place of c xd^t, then one
+        correctly rounded int division (OverflowError past binary64).
+        """
+        xn, xd = x.as_integer_ratio()
+        e = xd.bit_length() - 1
+        acc = 0
+        for t, c in enumerate(reversed(self.numerators)):
+            acc = acc * xn + (c << e * t)
+        return acc / (self.denominator << e * max(len(self.numerators) - 1, 0))
+
     def compose(self, g: "Poly") -> "Poly":
         """f(g(x)) by Horner over polynomials, on the integer numerators."""
         acc = _ZERO

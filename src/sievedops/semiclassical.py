@@ -11,6 +11,12 @@ The Pearson data, eps_j and the closed forms are written once for both kinds
 through s = fam.shift (0 for the first kind, 1 for the second), and C is
 Psi - Phi'.  With N = nk + j, the second kind's terms at j are the first
 kind's at j + 1 with N shifted by one.
+
+Beyond j = N mod k the closed forms see N only through multiples of U_hat(k-1)
+and x U_hat(k-1), so they are evaluated once, on the first block N = j < k,
+and shifted by d = N - j whole blocks: M_N = M_j - 2d U_hat(k-1),
+N_N = N_j + d x U_hat(k-1) and Omega_N = Omega_j + d (N + j + 1 + c) U_hat(k-1)
+with c = 2s + 2 lam k, since (N+1)(N+c) - (j+1)(j+c) = (N-j)(N+j+1+c).
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ def _eps(fam: SievedFamily, j: int) -> Fraction:
     return Fraction(0) if (j + 2 * fam.shift) % fam.k == 0 else Fraction(1, 2)
 
 
-def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
+def _closed_pair(fam: SievedFamily, big_n: int) -> StructurePair:
     """Closed-form (M_N, N_N) with N = nk + j.
 
     With t = 2s - 1 and B(a, b) = U_hat(a) U_hat(b) - U_hat(a+t) U_hat(b-t):
@@ -85,8 +91,6 @@ def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
         N_N = (N + 2s + 2 lam k) x U_hat(k-1) - lam k eps_j U_hat(k-2)
               + (lam k / 8) B(j-1, k-j-3)
     """
-    if big_n < 0:
-        raise ValueError("index must be >= 0")
     k, lam, s = fam.k, fam.lam, fam.shift
     j = big_n % k
     t = 2 * s - 1
@@ -103,6 +107,40 @@ def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
         + b(j - 1, k - j - 3).scale(lk / 8)
     )
     return StructurePair(m=m, n=nn)
+
+
+def _closed_omega(fam: SievedFamily, big_n: int) -> Poly:
+    """(N+1)(N + 2s + 2 lam k) U_hat(k-1) + (1 - 2s)(lam k / 2)
+    U_hat(i-1) U_hat(k-i-2), with i = j + s."""
+    k, lam, s = fam.k, fam.lam, fam.shift
+    i = big_n % k + s
+    lk = lam * k
+    return u_hat(k - 1).scale((big_n + 1) * (big_n + 2 * s + 2 * lk)) + (
+        _u(i - 1) * _u(k - i - 2)
+    ).scale((1 - 2 * s) * lk / 2)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _first_block(fam: SievedFamily) -> tuple:
+    """(U_hat(k-1), x U_hat(k-1), block): entry j of block is the closed
+    pair and Omega at N = j, for j = 0..k-1."""
+    uk1 = u_hat(fam.k - 1)
+    block = tuple((_closed_pair(fam, j), _closed_omega(fam, j)) for j in range(fam.k))
+    return uk1, Poly.x() * uk1, block
+
+
+def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
+    """(M_N, N_N): the closed pair at N = j shifted by d = N - j,
+    M_N = M_j - 2d U_hat(k-1) and N_N = N_j + d x U_hat(k-1)."""
+    if big_n < 0:
+        raise ValueError("index must be >= 0")
+    uk1, x_uk1, block = _first_block(fam)
+    j = big_n % fam.k
+    d = big_n - j
+    sp = block[j][0]
+    if d == 0:
+        return sp
+    return StructurePair(m=sp.m - uk1.scale(2 * d), n=sp.n + x_uk1.scale(d))
 
 
 def structure_pair_alternate(fam: SievedFamily, big_n: int) -> StructurePair:
@@ -179,14 +217,12 @@ def structure_residual(fam: SievedFamily, big_n: int) -> Poly:
 
 
 def _omega(fam: SievedFamily, big_n: int) -> Poly:
-    """(N+1)(N + 2s + 2 lam k) U_hat(k-1) + (1 - 2s)(lam k / 2)
-    U_hat(i-1) U_hat(k-i-2), with i = j + s."""
-    k, lam, s = fam.k, fam.lam, fam.shift
-    i = big_n % k + s
-    lk = lam * k
-    return u_hat(k - 1).scale((big_n + 1) * (big_n + 2 * s + 2 * lk)) + (
-        _u(i - 1) * _u(k - i - 2)
-    ).scale((1 - 2 * s) * lk / 2)
+    """Omega at N = j shifted by d = N - j,
+    Omega_N = Omega_j + d (N + j + 1 + 2s + 2 lam k) U_hat(k-1)."""
+    uk1, _, block = _first_block(fam)
+    j = big_n % fam.k
+    c = 2 * fam.shift + 2 * fam.lam * fam.k
+    return block[j][1] + uk1.scale((big_n - j) * (big_n + j + 1 + c))
 
 
 def ode_data(fam: SievedFamily, big_n: int) -> OdeData:

@@ -92,6 +92,48 @@ def test_evaluate_u2_root():
     assert p.evaluate(F(1, 2)) == 0
 
 
+def _rounded_exact(p, x):
+    try:
+        return repr(float(p.evaluate(F(x))))
+    except OverflowError:
+        return "OverflowError"
+
+
+def _value_at(p, x):
+    try:
+        return repr(p.value_at(x))
+    except OverflowError:
+        return "OverflowError"
+
+
+CUBIC = Poly([F(-1, 3), 0, 5, F(7, 11)])
+
+
+@pytest.mark.parametrize(
+    "p, x",
+    [
+        (Poly.zero(), 0.5),
+        (Poly.constant(10**400), 0.5),  # past binary64: both raise
+        (Poly.constant(F(-1, 10**400)), 1.0),  # -0.0 on both
+        (Poly([0, F(1, 3 * 2**1060)]), 0.75),  # a subnormal value
+        (CUBIC, -0.0),
+        (CUBIC, -1.0),
+        (CUBIC, 5e-324),
+        (Poly([0, 0, 1]), 5e-324),  # underflows to 0.0
+        (CUBIC, 1.1),
+    ],
+)
+def test_value_at_is_the_exact_value_rounded_once(p, x):
+    assert _value_at(p, x) == _rounded_exact(p, x)
+
+
+@given(st.lists(float_sized, max_size=8), st.floats(-1.1, 1.1))
+@settings(max_examples=80, deadline=None)
+def test_value_at_matches_rounded_evaluate(a, x):
+    p = Poly(a)
+    assert _value_at(p, x) == _rounded_exact(p, x)
+
+
 def test_evaluate_float_chebyshev_zero():
     import math
 

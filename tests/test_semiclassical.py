@@ -11,6 +11,8 @@ from sievedops.chebyshev import TABLE_CACHE_SIZE, table_cache, u_hat
 from sievedops.polycore import Poly, divide_exact, poly_gcd, wronskian
 from sievedops.recurrence import SievedFamily, SievedKind, gamma_flat, sieved_monic
 from sievedops.semiclassical import (
+    _closed_omega,
+    _closed_pair,
     _omega,
     ode_data,
     ode_residual,
@@ -119,6 +121,23 @@ def test_pair_and_omega_over_ten_blocks(fam):
         rec = structure_pair_recursive(fam, big_n)
         assert (closed.m, closed.n) == (rec.m, rec.n), (fam, big_n)
         assert _omega(fam, big_n) == omega_generic(fam, big_n), (fam, big_n)
+
+
+SHIFT_GRID = [
+    SievedFamily(kind, lam, k)
+    for kind in (FIRST, SECOND)
+    for lam in (F(1, 2), F(3, 2), F(-1, 4), F(-7, 6), F(0), F(7, 3))
+    for k in (3, 4, 5, 7, 11)
+]
+
+
+@pytest.mark.parametrize("fam", SHIFT_GRID, ids=str)
+def test_block_shift_equals_formula_as_written(fam):
+    # the first block shifted by whole blocks against the closed forms
+    # evaluated afresh at every N
+    for big_n in range(10 * fam.k + 1):
+        assert structure_pair(fam, big_n) == _closed_pair(fam, big_n), (fam, big_n)
+        assert _omega(fam, big_n) == _closed_omega(fam, big_n), (fam, big_n)
 
 
 def test_structure_residual_negative_lambda_case():
