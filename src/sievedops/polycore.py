@@ -16,6 +16,12 @@ goes through Kronecker substitution: each factor is packed into one int,
 the two ints are multiplied once (by CPython's Karatsuba) and the
 coefficients are read back off the bytes of the product.  Two long factors
 that both have a parity are first reduced to their nonzero halves.
+
+sum_of_products(terms) is the one n-ary kernel: it returns the sum of
+c f g over the terms (c, f, g) over one common denominator, adding every
+product into one numerator list (short ones in place by the schoolbook
+loop, long ones through the same _convolve) and normalising once at the
+end, where the operators would normalise each product and each sum.
 """
 
 from __future__ import annotations
@@ -285,6 +291,44 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
     out = [0] * (len(a) + len(b) - 1)
     out[pa + pb :: 2] = _convolve(ha, hb)
     return out
+
+
+def sum_of_products(terms: Iterable[tuple]) -> Poly:
+    """The sum of c f g over the terms (c, f, g), c an int or Fraction.
+
+    Every term is brought to one common denominator and added into one
+    numerator list, which is normalised once at the end.  A product whose
+    shorter factor has fewer than KRONECKER_MIN_TERMS terms is added in
+    place by the schoolbook loop, with c folded into the shorter factor; a
+    longer one goes through _convolve.  A linear term passes Poly.one()
+    as g.
+    """
+    live, den, size = [], 1, 0
+    for c, f, g in terms:
+        a, b = f.numerators, g.numerators
+        if not (c and a and b):
+            continue
+        c = _rational(c)
+        term_den = c.denominator * f.denominator * g.denominator
+        den = math.lcm(den, term_den)
+        if len(a) > len(b):
+            a, b = b, a
+        live.append((c.numerator, term_den, a, b))
+        size = max(size, len(a) + len(b) - 1)
+    out = [0] * size
+    for cn, term_den, a, b in live:
+        m = cn * (den // term_den)
+        if len(a) < KRONECKER_MIN_TERMS:
+            nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
+            for i, ai in enumerate(a):
+                if ai:
+                    ai *= m
+                    for j, bj in nonzero_b:
+                        out[i + j] += ai * bj
+        else:
+            for i, v in enumerate(_convolve(a, b)):
+                out[i] += m * v
+    return _canonical(out, den)
 
 
 def _parity(a: Sequence[int]):

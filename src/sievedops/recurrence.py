@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chebyshev import grow, t_hat, table_cache, three_term_step, u_hat
-from .polycore import Poly
+from .polycore import Poly, sum_of_products
 
 QUARTER = Fraction(1, 4)
 
@@ -221,13 +221,13 @@ def mapping_residual(fam: SievedFamily, n: int, j: int) -> Poly:
     lo, hi = 1 - s, k - s
     if not lo <= j <= hi:
         raise ValueError(f"{fam.kind.value} kind needs j in [{lo}, {hi}], got {j}")
-    lhs = sieved_monic(fam, k * n + j)
-    if not s:
-        lhs = u_hat(k - 1) * lhs
     m, i, a = n + 1 - s, j - 1 + s, block_coeff(fam, n, 1 - s)
-    rhs = u_hat(i) * composed_q(fam, m)
+    terms = [
+        (1, Poly.one() if s else u_hat(k - 1), sieved_monic(fam, k * n + j)),
+        (-1, u_hat(i), composed_q(fam, m)),
+    ]
     if m >= 1:
-        rhs += (u_hat(k - i - 2) * composed_q(fam, m - 1)).scale(
-            a * Fraction(4) ** (-i)
+        terms.append(
+            (-a * Fraction(4) ** (-i), u_hat(k - i - 2), composed_q(fam, m - 1))
         )
-    return lhs - rhs
+    return sum_of_products(terms)

@@ -14,9 +14,21 @@ kind's at j + 1 with N shifted by one.
 
 Beyond j = N mod k the closed forms see N only through multiples of U_hat(k-1)
 and x U_hat(k-1), so they are evaluated once, on the first block N = j < k,
-and shifted by d = N - j whole blocks: M_N = M_j - 2d U_hat(k-1),
-N_N = N_j + d x U_hat(k-1) and Omega_N = Omega_j + d (N + j + 1 + c) U_hat(k-1)
-with c = 2s + 2 lam k, since (N+1)(N+c) - (j+1)(j+c) = (N-j)(N+j+1+c).
+and shifted by d = N - j whole blocks.  With U = U_hat(k-1), X = x U and
+c = 2s + 2 lam k:
+    M_N = M_j - 2d U,    N_N = N_j + d X,
+    Omega_N = Omega_j + d (N + j + 1 + c) U,
+since (N+1)(N+c) - (j+1)(j+c) = (N-j)(N+j+1+c).  The ODE coefficients
+J = Phi M, K = Psi M - Phi M' and L = N M' + (Omega - N') M are then
+polynomials in d of degrees 1, 1 and 3:
+    J_N = J_j - 2d Phi U,
+    K_N = K_j - 2d (Psi U - Phi U'),
+    L_N = L_j + d L1_j + d^2 L2_j - 2 d^3 U^2,
+with A_j = (2j + 1 + c) U - X' and
+    L1_j = X M_j' - 2 N_j U' + A_j M_j - 2 (Omega_j - N_j') U,
+    L2_j = U M_j - 2 X U' - 2 A_j U.
+Each shifted object, and each residual, is one call of polycore's
+sum_of_products kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chebyshev import ONE_MINUS_X2, TABLE_CACHE_SIZE, grow, t_hat, table_cache, u_hat
-from .polycore import Poly, divide_exact, poly_gcd
+from .polycore import Poly, divide_exact, poly_gcd, sum_of_products
 from .recurrence import SievedFamily, gamma_flat, sieved_monic
 
 
@@ -120,27 +132,71 @@ def _closed_omega(fam: SievedFamily, big_n: int) -> Poly:
     ).scale((1 - 2 * s) * lk / 2)
 
 
+def _closed_ode(fam: SievedFamily, big_n: int) -> OdeData:
+    """J, K, L at N from the closed pair and Omega as written:
+    J = Phi M, K = Psi M - Phi M' and L = N M' + (Omega - N') M."""
+    pd = pearson_data(fam)
+    sp = _closed_pair(fam, big_n)
+    omega = _closed_omega(fam, big_n)
+    j_pol = pd.phi * sp.m
+    k_pol = pd.psi * sp.m - pd.phi * sp.m.derivative()
+    l_pol = sp.n * sp.m.derivative() + (omega - sp.n.derivative()) * sp.m
+    return OdeData(j=j_pol, kk=k_pol, l=l_pol)
+
+
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _first_block(fam: SievedFamily) -> tuple:
-    """(U_hat(k-1), x U_hat(k-1), block): entry j of block is the closed
-    pair and Omega at N = j, for j = 0..k-1."""
-    uk1 = u_hat(fam.k - 1)
-    block = tuple((_closed_pair(fam, j), _closed_omega(fam, j)) for j in range(fam.k))
-    return uk1, Poly.x() * uk1, block
+    """Entry j holds (M, N, Omega, J, K, L) at N = j + d as polynomials in
+    d, each an ascending tuple of Poly coefficients (module docstring), for
+    j = 0..k-1."""
+    pd = pearson_data(fam)
+    u = u_hat(fam.k - 1)
+    du = u.derivative()
+    x_u = Poly.x() * u
+    dx_u = x_u.derivative()
+    c = 2 * fam.shift + 2 * fam.lam * fam.k
+    m1 = u.scale(-2)
+    j1 = sum_of_products([(-2, pd.phi, u)])
+    k1 = sum_of_products([(-2, pd.psi, u), (2, pd.phi, du)])
+    l3 = sum_of_products([(-2, u, u)])
+    block = []
+    for j in range(fam.k):
+        sp, omega, od = _closed_pair(fam, j), _closed_omega(fam, j), _closed_ode(fam, j)
+        dm, dn = sp.m.derivative(), sp.n.derivative()
+        u_j = u.scale(2 * j + 1 + c)
+        a_j = u_j - dx_u
+        l1 = sum_of_products(
+            [(1, x_u, dm), (-2, sp.n, du), (1, a_j, sp.m), (-2, omega - dn, u)]
+        )
+        l2 = sum_of_products([(1, u, sp.m), (-2, x_u, du), (-2, a_j, u)])
+        block.append(
+            ((sp.m, m1), (sp.n, x_u), (omega, u_j, u), (od.j, j1), (od.kk, k1),
+             (od.l, l1, l2, l3))
+        )
+    return tuple(block)
+
+
+def _block_entry(fam: SievedFamily, big_n: int) -> tuple:
+    """The first block's entry j = N mod k, and d = N - j."""
+    if big_n < 0:
+        raise ValueError("index must be >= 0")
+    j = big_n % fam.k
+    return _first_block(fam)[j], big_n - j
+
+
+def _at(coeffs: tuple, d: int) -> Poly:
+    """The sum of d^i coeffs[i], in one call of the kernel."""
+    if d == 0:
+        return coeffs[0]
+    one = Poly.one()
+    return sum_of_products([(d**i, c, one) for i, c in enumerate(coeffs)])
 
 
 def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
     """(M_N, N_N): the closed pair at N = j shifted by d = N - j,
     M_N = M_j - 2d U_hat(k-1) and N_N = N_j + d x U_hat(k-1)."""
-    if big_n < 0:
-        raise ValueError("index must be >= 0")
-    uk1, x_uk1, block = _first_block(fam)
-    j = big_n % fam.k
-    d = big_n - j
-    sp = block[j][0]
-    if d == 0:
-        return sp
-    return StructurePair(m=sp.m - uk1.scale(2 * d), n=sp.n + x_uk1.scale(d))
+    (m, nn, *_), d = _block_entry(fam, big_n)
+    return StructurePair(m=_at(m, d), n=_at(nn, d))
 
 
 def structure_pair_alternate(fam: SievedFamily, big_n: int) -> StructurePair:
@@ -213,27 +269,23 @@ def structure_residual(fam: SievedFamily, big_n: int) -> Poly:
     sp = structure_pair(fam, big_n)
     p_n = sieved_monic(fam, big_n)
     p_n1 = sieved_monic(fam, big_n + 1)
-    return pd.phi * p_n.derivative() - sp.m * p_n1 - sp.n * p_n
+    return sum_of_products(
+        [(1, pd.phi, p_n.derivative()), (-1, sp.m, p_n1), (-1, sp.n, p_n)]
+    )
 
 
 def _omega(fam: SievedFamily, big_n: int) -> Poly:
     """Omega at N = j shifted by d = N - j,
     Omega_N = Omega_j + d (N + j + 1 + 2s + 2 lam k) U_hat(k-1)."""
-    uk1, _, block = _first_block(fam)
-    j = big_n % fam.k
-    c = 2 * fam.shift + 2 * fam.lam * fam.k
-    return block[j][1] + uk1.scale((big_n - j) * (big_n + j + 1 + c))
+    entry, d = _block_entry(fam, big_n)
+    return _at(entry[2], d)
 
 
 def ode_data(fam: SievedFamily, big_n: int) -> OdeData:
-    """ODE coefficients J, K, L at index N from the closed-form pair."""
-    pd = pearson_data(fam)
-    sp = structure_pair(fam, big_n)
-    omega = _omega(fam, big_n)
-    j_pol = pd.phi * sp.m
-    k_pol = pd.psi * sp.m - pd.phi * sp.m.derivative()
-    l_pol = sp.n * sp.m.derivative() + (omega - sp.n.derivative()) * sp.m
-    return OdeData(j=j_pol, kk=k_pol, l=l_pol)
+    """ODE coefficients J, K, L at index N: the first block's, shifted by
+    d = N - j whole blocks (see _first_block)."""
+    (*_, j_pol, k_pol, l_pol), d = _block_entry(fam, big_n)
+    return OdeData(j=_at(j_pol, d), kk=_at(k_pol, d), l=_at(l_pol, d))
 
 
 def omega_generic(fam: SievedFamily, big_n: int) -> Poly:
@@ -254,7 +306,8 @@ def ode_residual(fam: SievedFamily, big_n: int) -> Poly:
     """J p'' + K p' + L p at index N; zero iff the ODE holds."""
     od = ode_data(fam, big_n)
     p = sieved_monic(fam, big_n)
-    return od.j * p.derivative().derivative() + od.kk * p.derivative() + od.l * p
+    dp = p.derivative()
+    return sum_of_products([(1, od.j, dp.derivative()), (1, od.kk, dp), (1, od.l, p)])
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from sievedops.polycore import (
     poly_gcd,
     rat_from_str,
     rat_to_str,
+    sum_of_products,
     wronskian,
 )
 
@@ -424,3 +425,64 @@ def test_kronecker_dispatch(monkeypatch):
     calls.clear()
     assert Poly.x() * t80 == Poly((0,) + t80.coeffs)
     assert calls == []
+
+
+# -- the n-ary kernel against the same sum built from *, + and scale -------
+
+long_polys = st.builds(
+    lambda a, parity: Poly(_with_parity(a, parity)), long_lists, parities
+)
+scalars = st.one_of(st.integers(-5, 5), rationals, st.just(0), st.just(F(0)))
+terms = st.tuples(
+    scalars, st.one_of(polys, long_polys), st.one_of(polys, long_polys)
+)
+# c other than 0 and 1, so the long product is scaled into the sum
+scales = st.one_of(
+    st.integers(2, 5), st.integers(-5, -1), rationals.filter(lambda r: r not in (0, 1))
+)
+long_terms = st.tuples(scales, long_polys, long_polys)
+
+
+def _ref_sum_of_products(ts):
+    acc = Poly.zero()
+    for c, f, g in ts:
+        acc = acc + (f * g).scale(c)
+    return acc
+
+
+@given(st.lists(terms, max_size=3), long_terms)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.large_base_example, HealthCheck.too_slow],
+)
+def test_sum_of_products_matches_operators(ts, long_term):
+    ts = ts + [long_term]
+    got = sum_of_products(ts)
+    _assert_canonical(got)
+    assert got == _ref_sum_of_products(ts)
+    # the same terms negated cancel to the zero polynomial
+    assert sum_of_products(ts + [(-c, f, g) for c, f, g in ts]) == Poly.zero()
+
+
+def test_sum_of_products_cases():
+    assert sum_of_products([]) == Poly.zero()
+    long_even = Poly([F(i % 7 - 3, 1 + i % 3) if i % 2 == 0 else 0 for i in range(41)])
+    long_odd = Poly([F(2**90 + i, 5) if i % 2 else 0 for i in range(30)])
+    dense = Poly([F(i - 11, 3 + i % 4) for i in range(25)])
+    short = Poly([F(1, 2), 0, F(-3, 7)])
+    assert len(long_odd.numerators) >= KRONECKER_MIN_TERMS
+    cases = [
+        [(0, short, dense), (F(0), dense, dense)],  # every scalar zero
+        [(3, short, long_even), (F(-1, 6), dense, Poly.one())],  # short x long
+        [(1, long_even, long_odd), (F(5, 9), long_odd, long_odd)],  # parities
+        [(F(2, 3), dense, long_even), (-4, dense, dense), (1, short, short)],
+        [(1, short, Poly.zero()), (7, Poly.zero(), dense)],
+    ]
+    for ts in cases:
+        assert sum_of_products(ts) == _ref_sum_of_products(ts), ts
+    # unequal denominators that cancel exactly
+    a, b = Poly([F(1, 3), F(1, 6)]), Poly([F(2, 5), 0, F(-1, 10)])
+    assert sum_of_products([(F(1, 4), a, b), (F(-1, 8), a.scale(2), b)]).is_zero()
+    with pytest.raises(TypeError):
+        sum_of_products([(0.5, a, b)])

@@ -266,6 +266,31 @@ def test_mapping_residual_zero_grid():
                         assert mapping_residual(fam, n, j).is_zero(), (fam, n, j)
 
 
+@pytest.mark.parametrize(
+    "fam,n,j,i",
+    [(FAM_C10, 0, 1, 0), (FAM_C10, 4, 3, 22), (FAM_B14, 3, 0, 3), (FAM_B14, 6, 4, 33)],
+    ids=str,
+)
+def test_planted_coefficient_shows_in_mapping_residual(monkeypatch, fam, n, j, i):
+    # the kernel's residual equals the one built from *, + and -, so it can
+    # neither hide the planted error nor change the reported degree
+    factory = recurrence._monic_table.__wrapped__
+    monkeypatch.setattr(recurrence, "_monic_table", table_cache(factory))
+    k, s = fam.k, fam.shift
+    p = sieved_monic(fam, k * n + j) + Poly([0] * i + [F(-2, 7)])
+    recurrence._monic_table(fam)[k * n + j] = p
+    m, i_u = n + 1 - s, j - 1 + s
+    rhs = u_hat(i_u) * composed_q(fam, m)
+    if m >= 1:
+        rhs += (u_hat(k - i_u - 2) * composed_q(fam, m - 1)).scale(
+            block_coeff(fam, n, 1 - s) * F(4) ** (-i_u)
+        )
+    want = (p if s else u_hat(k - 1) * p) - rhs
+    got = mapping_residual(fam, n, j)
+    assert not got.is_zero()
+    assert got == want
+
+
 def test_mapping_residual_index_checks():
     with pytest.raises(ValueError):
         mapping_residual(FAM_B14, 0, FAM_B14.k)

@@ -6,11 +6,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from sievedops import semiclassical
+from sievedops import recurrence, semiclassical
 from sievedops.chebyshev import TABLE_CACHE_SIZE, table_cache, u_hat
 from sievedops.polycore import Poly, divide_exact, poly_gcd, wronskian
 from sievedops.recurrence import SievedFamily, SievedKind, gamma_flat, sieved_monic
 from sievedops.semiclassical import (
+    _closed_ode,
     _closed_omega,
     _closed_pair,
     _omega,
@@ -138,11 +139,42 @@ def test_block_shift_equals_formula_as_written(fam):
     for big_n in range(10 * fam.k + 1):
         assert structure_pair(fam, big_n) == _closed_pair(fam, big_n), (fam, big_n)
         assert _omega(fam, big_n) == _closed_omega(fam, big_n), (fam, big_n)
+        assert ode_data(fam, big_n) == _closed_ode(fam, big_n), (fam, big_n)
 
 
 def test_structure_residual_negative_lambda_case():
     fam = SievedFamily(FIRST, F(-1, 4), 3)
     assert structure_residual(fam, 7).is_zero()
+
+
+@pytest.mark.parametrize(
+    "fam,big_n,i",
+    [
+        (SievedFamily(FIRST, F(3, 2), 5), 3, 1),
+        (SievedFamily(FIRST, F(3, 2), 5), 23, 0),
+        (SievedFamily(SECOND, F(-1, 4), 4), 17, 16),
+        (SievedFamily(SECOND, F(7, 3), 3), 30, 13),
+    ],
+    ids=str,
+)
+def test_planted_coefficient_shows_in_residuals(monkeypatch, fam, big_n, i):
+    # the kernel's residual equals the one built from *, + and -, so it can
+    # neither hide the planted error nor change the reported degree
+    factory = recurrence._monic_table.__wrapped__
+    monkeypatch.setattr(recurrence, "_monic_table", table_cache(factory))
+    p1 = sieved_monic(fam, big_n + 1)  # from the true p_N
+    p = sieved_monic(fam, big_n) + Poly([0] * i + [F(1, 3)])
+    recurrence._monic_table(fam)[big_n] = p
+    pd, sp = pearson_data(fam), _closed_pair(fam, big_n)
+    want = pd.phi * p.derivative() - sp.m * p1 - sp.n * p
+    got = structure_residual(fam, big_n)
+    assert not got.is_zero()
+    assert got == want
+    od = _closed_ode(fam, big_n)
+    want = od.j * p.derivative().derivative() + od.kk * p.derivative() + od.l * p
+    got = ode_residual(fam, big_n)
+    assert not got.is_zero()
+    assert got == want
 
 
 @pytest.mark.parametrize("fam", GRID, ids=str)
