@@ -11,7 +11,7 @@ import functools
 import threading
 from fractions import Fraction
 
-from .polycore import Poly
+from .polycore import Poly, sum_of_products
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -66,9 +66,11 @@ def three_term_step(gamma, y: Poly = Poly.x()):
     polynomial it steps the same sequence composed with y.
     """
 
+    one = Poly.one()
+
     def step(table: list) -> Poly:
         i = len(table) - 1
-        return y * table[i] - table[i - 1].scale(gamma(i))
+        return sum_of_products(((1, y, table[i]), (-gamma(i), table[i - 1], one)))
 
     return step
 
@@ -128,33 +130,31 @@ def identity_residual(tag: str, n: int, m: int | None = None) -> Poly:
     """
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
-    x = Poly.x()
+    x, one = Poly.x(), Poly.one()
     if tag == "pythagorean":
-        return (
-            t_hat(n) * t_hat(n)
-            + ONE_MINUS_X2 * (u_hat(n - 1) * u_hat(n - 1))
-            - Poly.constant(Fraction(4) ** (1 - n))
-        )
-    if tag == "turan":
-        return (
-            u_hat(n) * u_hat(n)
-            - u_hat(n - 1) * u_hat(n + 1)
-            - Poly.constant(Fraction(4) ** (-n))
-        )
-    if tag == "mixed":
+        u = u_hat(n - 1)
+        terms = [(1, t_hat(n), t_hat(n)), (1, ONE_MINUS_X2, u * u),
+                 (-(Fraction(4) ** (1 - n)), one, one)]
+    elif tag == "turan":
+        terms = [(1, u_hat(n), u_hat(n)), (-1, u_hat(n - 1), u_hat(n + 1)),
+                 (-(Fraction(4) ** (-n)), one, one)]
+    elif tag == "mixed":
         un = u_hat(n)
-        return x * un - ONE_MINUS_X2 * un.derivative() - t_hat(n + 1).scale(n + 1)
-    if tag == "deriv":
-        return t_hat(n).derivative() - u_hat(n - 1).scale(n)
-    if tag == "sum":
-        return t_hat(n) + x * u_hat(n - 1) - u_hat(n).scale(2)
-    if tag == "product_diff":
+        terms = [(1, x, un), (-1, ONE_MINUS_X2, un.derivative()),
+                 (-(n + 1), t_hat(n + 1), one)]
+    elif tag == "deriv":
+        terms = [(1, t_hat(n).derivative(), one), (-n, u_hat(n - 1), one)]
+    elif tag == "sum":
+        terms = [(1, t_hat(n), one), (1, x, u_hat(n - 1)), (-2, u_hat(n), one)]
+    elif tag == "product_diff":
         if m is None or m < 0:
             raise ValueError("product_diff needs a second index m >= 0")
-        lhs = u_hat(n) * u_hat(m) - u_hat(n - 1) * u_hat(m + 1)
         if n <= m:
-            rhs = u_hat(m - n).scale(Fraction(4) ** (-n))
+            c, rhs = Fraction(4) ** (-n), u_hat(m - n)
         else:
-            rhs = u_hat(n - m - 2).scale(-(Fraction(4) ** (-m - 1)))
-        return lhs - rhs
-    raise ValueError(f"unknown identity tag {tag!r}")
+            c, rhs = -(Fraction(4) ** (-m - 1)), u_hat(n - m - 2)
+        terms = [(1, u_hat(n), u_hat(m)), (-1, u_hat(n - 1), u_hat(m + 1)),
+                 (-c, rhs, one)]
+    else:
+        raise ValueError(f"unknown identity tag {tag!r}")
+    return sum_of_products(terms)

@@ -10,18 +10,20 @@ equality and hashing compare it directly, and every ring operation works on
 ints and ends in one gcd normalisation instead of building a Fraction per
 coefficient.
 
-A product of numerator lists whose shorter factor has fewer than
-KRONECKER_MIN_TERMS terms runs the schoolbook loop.  Above it the product
-goes through Kronecker substitution: each factor is packed into one int,
-the two ints are multiplied once (by CPython's Karatsuba) and the
-coefficients are read back off the bytes of the product.  Two long factors
-that both have a parity are first reduced to their nonzero halves.
+sum_of_products(terms) is the one exact kernel: it returns the sum of c f g
+over the terms (c, f, g) over one common denominator, adding every product
+into one numerator list and normalising once at the end.  The ring
+operators are sugar over it, one call each: f + g, f - g and f.scale(c)
+pass Poly.one() as the second factor, f * g passes c = 1.  Code that sums
+several products passes them all in one call.
 
-sum_of_products(terms) is the one n-ary kernel: it returns the sum of
-c f g over the terms (c, f, g) over one common denominator, adding every
-product into one numerator list (short ones in place by the schoolbook
-loop, long ones through the same _convolve) and normalising once at the
-end, where the operators would normalise each product and each sum.
+The one routine that multiplies, _add_product, adds m a b into that list.
+While the shorter factor has fewer than KRONECKER_MIN_TERMS terms it runs
+the schoolbook loop.  Above it the product goes through Kronecker
+substitution: each factor is packed into one int, the two ints are
+multiplied once (by CPython's Karatsuba) and the coefficients are read back
+off the bytes of the product.  Two long factors that both have a parity are
+first reduced to their nonzero halves.
 """
 
 from __future__ import annotations
@@ -141,28 +143,19 @@ class Poly:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        return _add(self, other, 1)
+        return sum_of_products(((1, self, _ONE), (1, other, _ONE)))
 
     def __neg__(self) -> "Poly":
         return _make([-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return _add(self, other, -1)
+        return sum_of_products(((1, self, _ONE), (-1, other, _ONE)))
 
     def scale(self, c: Union[int, Fraction]) -> "Poly":
-        c = _rational(c)
-        cn = c.numerator
-        return _canonical(
-            [cn * a for a in self.numerators], self.denominator * c.denominator
-        )
+        return sum_of_products(((c, self, _ONE),))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.numerators or not other.numerators:
-            return _ZERO
-        return _canonical(
-            _convolve(self.numerators, other.numerators),
-            self.denominator * other.denominator,
-        )
+        return sum_of_products(((1, self, other),))
 
     # -- calculus and composition ----------------------------------------
 
@@ -200,7 +193,7 @@ class Poly:
         """f(g(x)) by Horner over polynomials, on the integer numerators."""
         acc = _ZERO
         for c in reversed(self.numerators):
-            acc = acc * g + Poly.constant(c)
+            acc = sum_of_products(((1, acc, g), (c, _ONE, _ONE)))
         return acc.scale(Fraction(1, self.denominator))
 
     # -- serialization ----------------------------------------------------
@@ -237,78 +230,24 @@ def _canonical(nums: list, den: int) -> Poly:
     return _make(nums, den)
 
 
-def _add(f: Poly, g: Poly, sign: int) -> Poly:
-    """f + sign * g over the least common denominator."""
-    a, da = f.numerators, f.denominator
-    b, db = g.numerators, g.denominator
-    den = da
-    if da != db:
-        gd = math.gcd(da, db)
-        ma, mb = db // gd, da // gd
-        den = da * ma
-        if ma != 1:
-            a = [c * ma for c in a]
-        if mb != 1:
-            b = [c * mb for c in b]
-    out = list(map(operator.add if sign > 0 else operator.sub, a, b))
-    n = len(out)
-    if len(a) > n:
-        out += a[n:]
-    elif len(b) > n:
-        out += b[n:] if sign > 0 else [-c for c in b[n:]]
-    return _canonical(out, den)
-
-
 # Kronecker substitution replaces the schoolbook loop once the shorter
 # factor has this many terms (after parity compression); measured break-even
 KRONECKER_MIN_TERMS = 12
-
-
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list:
-    """Product of two trimmed, nonempty ascending int coefficient lists.
-
-    Short factors use the schoolbook loop, which skips the zero coefficients
-    on both sides.  Long factors that both have a parity, as every Chebyshev
-    and sieved polynomial does, are multiplied as their nonzero halves; long
-    products go through Kronecker substitution.
-    """
-    if len(a) < KRONECKER_MIN_TERMS or len(b) < KRONECKER_MIN_TERMS:
-        # inline: most products are short, and a call would cost them more
-        out = [0] * (len(a) + len(b) - 1)
-        nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in nonzero_b:
-                    out[i + j] += ai * bj
-        return out
-    pa, pb = _parity(a), _parity(b)
-    if pa is None or pb is None:
-        return _kronecker(a, b)
-    # a trimmed list ends at an index of its parity, so the halves fill
-    # exactly the slots of parity pa + pb
-    ha = a[pa::2]
-    hb = ha if a is b else b[pb::2]
-    out = [0] * (len(a) + len(b) - 1)
-    out[pa + pb :: 2] = _convolve(ha, hb)
-    return out
 
 
 def sum_of_products(terms: Iterable[tuple]) -> Poly:
     """The sum of c f g over the terms (c, f, g), c an int or Fraction.
 
     Every term is brought to one common denominator and added into one
-    numerator list, which is normalised once at the end.  A product whose
-    shorter factor has fewer than KRONECKER_MIN_TERMS terms is added in
-    place by the schoolbook loop, with c folded into the shorter factor; a
-    longer one goes through _convolve.  A linear term passes Poly.one()
-    as g.
+    numerator list by _add_product, which is normalised once at the end.
+    A linear term passes Poly.one() as g.
     """
     live, den, size = [], 1, 0
     for c, f, g in terms:
+        c = _rational(c)
         a, b = f.numerators, g.numerators
         if not (c and a and b):
             continue
-        c = _rational(c)
         term_den = c.denominator * f.denominator * g.denominator
         den = math.lcm(den, term_den)
         if len(a) > len(b):
@@ -317,18 +256,51 @@ def sum_of_products(terms: Iterable[tuple]) -> Poly:
         size = max(size, len(a) + len(b) - 1)
     out = [0] * size
     for cn, term_den, a, b in live:
-        m = cn * (den // term_den)
-        if len(a) < KRONECKER_MIN_TERMS:
-            nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
-            for i, ai in enumerate(a):
-                if ai:
-                    ai *= m
-                    for j, bj in nonzero_b:
-                        out[i + j] += ai * bj
-        else:
-            for i, v in enumerate(_convolve(a, b)):
-                out[i] += m * v
+        _add_product(out, cn * (den // term_den), a, b)
     return _canonical(out, den)
+
+
+def _add_product(out: list, m: int, a: Sequence[int], b: Sequence[int]) -> None:
+    """Add m a b into out, for trimmed, nonempty int coefficient lists with
+    len(a) <= len(b).
+
+    While a has fewer than KRONECKER_MIN_TERMS terms the schoolbook loop
+    runs, with m folded into a and the zero coefficients of both skipped; a
+    one-term a is a scaling.  Longer factors that both have a parity, as
+    every Chebyshev and sieved polynomial does, are multiplied as their
+    nonzero halves; long products go through Kronecker substitution.
+    """
+    if len(a) == 1:
+        m *= a[0]
+        _accumulate(out, slice(0, len(b)), b if m == 1 else [m * v for v in b])
+        return
+    if len(a) < KRONECKER_MIN_TERMS:
+        nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
+        for i, ai in enumerate(a):
+            if ai:
+                ai *= m
+                for j, bj in nonzero_b:
+                    out[i + j] += ai * bj
+        return
+    pa, pb = _parity(a), _parity(b)
+    if pa is None or pb is None:
+        _accumulate(out, slice(0, len(a) + len(b) - 1), _kronecker(m, a, b))
+        return
+    # a trimmed list ends at an index of its parity, so the halves fill
+    # exactly the slots of parity pa + pb
+    ha = a[pa::2]
+    hb = ha if a is b else b[pb::2]
+    halves = [0] * (len(ha) + len(hb) - 1)
+    _add_product(halves, m, ha, hb)
+    _accumulate(out, slice(pa + pb, pa + pb + 2 * len(halves) - 1, 2), halves)
+
+
+def _accumulate(out: list, slots: slice, values: Sequence[int]) -> None:
+    """out[slots] += values term by term; a plain store while those slots
+    are all still zero, as they are for the first product of a sum."""
+    if any(out[slots]):
+        values = map(operator.add, out[slots], values)
+    out[slots] = values
 
 
 def _parity(a: Sequence[int]):
@@ -340,23 +312,25 @@ def _parity(a: Sequence[int]):
     return None
 
 
-def _kronecker(a: Sequence[int], b: Sequence[int]) -> list:
-    """Product by Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009).
+def _kronecker(m: int, a: Sequence[int], b: Sequence[int]) -> list:
+    """m a b by Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009).
 
     Both factors are evaluated at 2^w and multiplied as two ints (squared
-    when a is b).  Every product coefficient c has |c| < 2^(w-1), so adding
-    2^(w-1) to each w-bit slot makes every slot a nonnegative digit, and
-    the coefficients are read back off the bytes of the sum.
+    when a is b), and their product by m.  Every coefficient c of m a b has
+    |c| < 2^(w-1), so adding 2^(w-1) to each w-bit slot makes every slot a
+    nonnegative digit, and the coefficients are read back off the bytes of
+    the sum.
     """
     bits = (
         max(map(abs, a)).bit_length()
         + max(map(abs, b)).bit_length()
         + min(len(a), len(b)).bit_length()
+        + (abs(m) - 1).bit_length()  # |m| is at most 2 to this power
         + 1
     )
     width = (bits + 7) // 8  # slot width in bytes
     packed = _pack(a, 8 * width)
-    product = packed * packed if a is b else packed * _pack(b, 8 * width)
+    product = m * (packed * packed if a is b else packed * _pack(b, 8 * width))
     size = len(a) + len(b) - 1
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
@@ -383,7 +357,7 @@ _X = _make((0, 1), 1)
 
 def wronskian(f: Poly, g: Poly) -> Poly:
     """f*g' - f'*g (in this sign order)."""
-    return f * g.derivative() - f.derivative() * g
+    return sum_of_products(((1, f, g.derivative()), (-1, f.derivative(), g)))
 
 
 def divmod_poly(f: Poly, g: Poly):

@@ -5,7 +5,7 @@ Chebyshev expressions and the first-order recursion driven only by the
 Pearson data and the recurrence coefficients.  The recursion is the trusted
 oracle; the closed forms are what the tests put on trial.  Each family keeps
 one append-only table of the recursion, held in a cache bounded by
-TABLE_CACHE_SIZE and extended by one step (two products) per new index.
+TABLE_CACHE_SIZE and extended by one step (two kernel calls) per new index.
 
 The Pearson data, eps_j and the closed forms are written once for both kinds
 through s = fam.shift (0 for the first kind, 1 for the second), and C is
@@ -14,21 +14,15 @@ kind's at j + 1 with N shifted by one.
 
 Beyond j = N mod k the closed forms see N only through multiples of U_hat(k-1)
 and x U_hat(k-1), so they are evaluated once, on the first block N = j < k,
-and shifted by d = N - j whole blocks.  With U = U_hat(k-1), X = x U and
+and shifted by d = N - j whole blocks.  With U = U_hat(k-1) and
 c = 2s + 2 lam k:
-    M_N = M_j - 2d U,    N_N = N_j + d X,
-    Omega_N = Omega_j + d (N + j + 1 + c) U,
+    M_N = M_j - 2d U,    N_N = N_j + d x U,
+    Omega_N = Omega_j + d (2j + 1 + c) U + d^2 U,
 since (N+1)(N+c) - (j+1)(j+c) = (N-j)(N+j+1+c).  The ODE coefficients
 J = Phi M, K = Psi M - Phi M' and L = N M' + (Omega - N') M are then
-polynomials in d of degrees 1, 1 and 3:
-    J_N = J_j - 2d Phi U,
-    K_N = K_j - 2d (Psi U - Phi U'),
-    L_N = L_j + d L1_j + d^2 L2_j - 2 d^3 U^2,
-with A_j = (2j + 1 + c) U - X' and
-    L1_j = X M_j' - 2 N_j U' + A_j M_j - 2 (Omega_j - N_j') U,
-    L2_j = U M_j - 2 X U' - 2 A_j U.
-Each shifted object, and each residual, is one call of polycore's
-sum_of_products kernel.
+polynomials in d of degrees 1, 1 and 3, read off the products of these.
+Each shifted object, each coefficient in d, and each residual is one call
+of polycore's sum_of_products kernel.
 """
 
 from __future__ import annotations
@@ -132,16 +126,37 @@ def _closed_omega(fam: SievedFamily, big_n: int) -> Poly:
     ).scale((1 - 2 * s) * lk / 2)
 
 
+def _ode_in_d(pd: PearsonData, m: tuple, nn: tuple, omega: tuple) -> OdeData:
+    """J = Phi M, K = Psi M - Phi M' and L = N M' + (Omega - N') M for M, N
+    and Omega given as ascending tuples of coefficients in d; each result
+    is such a tuple, one kernel call per power of d."""
+    dm = tuple(p.derivative() for p in m)
+    dn = tuple(p.derivative() for p in nn)
+
+    def in_d(*terms) -> tuple:
+        """The sum of c f g over the terms (c, f, g), f and g tuples in d."""
+        size = max(len(f) + len(g) - 1 for _, f, g in terms)
+        return tuple(
+            sum_of_products(
+                [(c, f[a], g[i - a]) for c, f, g in terms
+                 for a in range(len(f)) if 0 <= i - a < len(g)]
+            )
+            for i in range(size)
+        )
+
+    phi, psi = (pd.phi,), (pd.psi,)
+    return OdeData(
+        j=in_d((1, phi, m)),
+        kk=in_d((1, psi, m), (-1, phi, dm)),
+        l=in_d((1, nn, dm), (1, omega, m), (-1, dn, m)),
+    )
+
+
 def _closed_ode(fam: SievedFamily, big_n: int) -> OdeData:
-    """J, K, L at N from the closed pair and Omega as written:
-    J = Phi M, K = Psi M - Phi M' and L = N M' + (Omega - N') M."""
-    pd = pearson_data(fam)
+    """J, K, L at N from the closed pair and Omega as written."""
     sp = _closed_pair(fam, big_n)
-    omega = _closed_omega(fam, big_n)
-    j_pol = pd.phi * sp.m
-    k_pol = pd.psi * sp.m - pd.phi * sp.m.derivative()
-    l_pol = sp.n * sp.m.derivative() + (omega - sp.n.derivative()) * sp.m
-    return OdeData(j=j_pol, kk=k_pol, l=l_pol)
+    od = _ode_in_d(pearson_data(fam), (sp.m,), (sp.n,), (_closed_omega(fam, big_n),))
+    return OdeData(j=od.j[0], kk=od.kk[0], l=od.l[0])
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -151,28 +166,15 @@ def _first_block(fam: SievedFamily) -> tuple:
     j = 0..k-1."""
     pd = pearson_data(fam)
     u = u_hat(fam.k - 1)
-    du = u.derivative()
     x_u = Poly.x() * u
-    dx_u = x_u.derivative()
     c = 2 * fam.shift + 2 * fam.lam * fam.k
-    m1 = u.scale(-2)
-    j1 = sum_of_products([(-2, pd.phi, u)])
-    k1 = sum_of_products([(-2, pd.psi, u), (2, pd.phi, du)])
-    l3 = sum_of_products([(-2, u, u)])
     block = []
     for j in range(fam.k):
-        sp, omega, od = _closed_pair(fam, j), _closed_omega(fam, j), _closed_ode(fam, j)
-        dm, dn = sp.m.derivative(), sp.n.derivative()
-        u_j = u.scale(2 * j + 1 + c)
-        a_j = u_j - dx_u
-        l1 = sum_of_products(
-            [(1, x_u, dm), (-2, sp.n, du), (1, a_j, sp.m), (-2, omega - dn, u)]
-        )
-        l2 = sum_of_products([(1, u, sp.m), (-2, x_u, du), (-2, a_j, u)])
-        block.append(
-            ((sp.m, m1), (sp.n, x_u), (omega, u_j, u), (od.j, j1), (od.kk, k1),
-             (od.l, l1, l2, l3))
-        )
+        sp = _closed_pair(fam, j)
+        m, nn = (sp.m, u.scale(-2)), (sp.n, x_u)
+        omega = (_closed_omega(fam, j), u.scale(2 * j + 1 + c), u)
+        od = _ode_in_d(pd, m, nn, omega)
+        block.append((m, nn, omega, od.j, od.kk, od.l))
     return tuple(block)
 
 
@@ -246,17 +248,18 @@ def structure_pair_recursive(fam: SievedFamily, big_n: int) -> StructurePair:
     if big_n < 0:
         raise ValueError("index must be >= 0")
     pd = pearson_data(fam)
-    x = Poly.x()
+    x, one = Poly.x(), Poly.one()
 
     def step(table: list) -> tuple:
         i = len(table) - 1  # index N of the new pair
         m_prev, n_prev, m_cur = table[-1]
-        n_cur = -pd.c - n_prev - x * m_cur
-        gamma_next = gamma_flat(fam, i + 1)
-        gamma_cur = gamma_flat(fam, i) if i >= 1 else Fraction(0)
-        m_next = (
-            -pd.phi + m_prev.scale(gamma_cur) + x * (n_prev - n_cur)
-        ).scale(1 / gamma_next)
+        n_cur = sum_of_products([(-1, pd.c, one), (-1, n_prev, one), (-1, x, m_cur)])
+        g = 1 / gamma_flat(fam, i + 1)
+        gamma_cur = gamma_flat(fam, i) if i >= 1 else 0
+        m_next = sum_of_products(
+            [(-g, pd.phi, one), (gamma_cur * g, m_prev, one), (g, x, n_prev),
+             (-g, x, n_cur)]
+        )
         return m_cur, n_cur, m_next
 
     m, nn, _ = grow(_pair_table(fam), big_n + 1, step)
