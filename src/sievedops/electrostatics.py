@@ -20,7 +20,7 @@ import numpy as np
 from . import semiclassical
 from .chebyshev import ONE_MINUS_X2, u_hat
 from .numerics import interval_counts, partition_points, scaled_derivatives, zeros
-from .polycore import Poly
+from .polycore import Poly, sum_of_products
 from .recurrence import SievedFamily, SievedKind
 
 
@@ -338,10 +338,12 @@ def verify_theorem(sys: ChargeSystem, seed: int | None = None) -> dict:
     # (e) Psi/Phi equals its partial fractions, (2 lam + 1) / 2 at +-1 and
     # 2 lam + 1 at each cos(j pi/k); times Phi = (1 - x^2) U_hat(k-1) their
     # sum is (2 lam + 1)((1 - x^2) U_hat' - x U_hat), compared exactly
-    u = u_hat(sys.k - 1)
-    residual = semiclassical.pearson_data(fam).psi - (
-        ONE_MINUS_X2 * u.derivative() - Poly.x() * u
-    ).scale(2 * fam.lam + 1)
+    u, c = u_hat(sys.k - 1), 2 * fam.lam + 1
+    residual = sum_of_products([
+        (1, semiclassical.pearson_data(fam).psi, Poly.one()),
+        (-c, ONE_MINUS_X2, u.derivative()),
+        (c, Poly.x(), u),
+    ])
     report["psi_phi_resid"] = float(max(map(abs, residual.coeffs), default=0))
     report["psi_phi_ok"] = residual.is_zero()
 

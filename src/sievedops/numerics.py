@@ -7,6 +7,10 @@ append-only table of gamma_m rounded to binary64, from which zeros() builds
 the Jacobi matrix, scaled_derivatives() the values of p_n, p_n' and p_n''
 times 2^n, and gram_matrix() the Chebyshev coefficients of each p_m
 (Gautschi, Orthogonal Polynomials: Computation and Approximation, 2004).
+scaled_derivatives() carries its derivative rows as Taylor coefficients in
+2x, so a step is three array operations; both it and gram_matrix() skip
+the product by 4 gamma_m where that is exactly 1.0, which it is on all but
+at most two slots of every block.
 Orthogonality is read off the upper triangle of one Gram matrix G = C M C^T,
 where M holds the weight's Chebyshev modified moments: exact rationals, from
 which the mixed moments C M are carried exactly as integers through the
@@ -97,22 +101,41 @@ def scaled_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
     by 2^m.  Ratios of these values equal the ratios of the unscaled ones
     bit for bit, and stay finite past n = 1074, where 2^-n underflows;
     np.ldexp(values, -n) gives p_n, p_n', p_n'' where 2^-n is still normal.
+
+    The rows are carried as Taylor coefficients in y = 2x, (r, r'/2, r''/8)
+    for r = 2^m p_m, so each derivative row takes the row above it with
+    weight 1: s_{m+1} = y s_m - 4 gamma_m s_{m-1} + (row above at m).
+    Rows 1 and 2 are scaled by 2 and 8 once, at the end; a power of two
+    scales exactly, so every step rounds as it would on (r, r', r'') while
+    no value is subnormal or past the binary64 range.  Past that range
+    (|x| > 1 at high degree) the carried rows overflow a step later than
+    r' and r'' would, so where plain (r, r', r'') rows give NaN an entry
+    can read +-inf, and where they overflowed on the way, its finite value.
+    Where 4 gamma_m is exactly 1.0, as on all but at most two slots of
+    every block, the product is skipped: it would be exact.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     x2 = 2.0 * np.asarray(x, dtype=float)
-    g4 = 4.0 * float_gammas(fam, n)
-    # the derivative terms 2 r_m and 4 r'_m feed rows 1 and 2
-    lift = np.array([2.0, 4.0]).reshape((2,) + (1,) * x2.ndim)
-    prev = np.zeros((3,) + x2.shape)
-    cur = np.zeros((3,) + x2.shape)
-    cur[0] = 1.0
-    for m in range(n):
-        nxt = x2 * cur
-        nxt -= g4[m] * prev
-        nxt[1:] += lift * cur[:-1]
-        prev, cur = cur, nxt
-    return cur
+    g4 = (4.0 * float_gammas(fam, n)).tolist()
+    # three state buffers rotate, each with its views of rows 0..1 and 1..2
+    bufs = [np.zeros((3,) + x2.shape) for _ in range(3)]
+    prev, cur, nxt = ((b, b[:-1], b[1:]) for b in bufs)
+    cur[0][0] = 1.0
+    # each ufunc writes into its third argument, the out buffer; passed by
+    # position it dispatches faster than as out=
+    for m, g in enumerate(g4):
+        np.multiply(x2, cur[0], nxt[0])
+        # gamma_0 multiplies p_{-1} = 0
+        if m:
+            if g != 1.0:
+                np.multiply(prev[0], g, prev[0])
+            np.subtract(nxt[0], prev[0], nxt[0])
+        np.add(nxt[2], cur[1], nxt[2])
+        prev, cur, nxt = cur, nxt, prev
+    out = cur[0]
+    out *= np.array([1.0, 2.0, 8.0]).reshape((3,) + (1,) * x2.ndim)
+    return out
 
 
 def zero_residuals(z: ZeroSet) -> np.ndarray:
@@ -216,7 +239,9 @@ def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
         # row m + 1 over scale * q, with 4 gamma_m = p / q and gamma_0 = 0
         g4 = 4 * gamma_flat(fam, m) if m else Fraction(0)
         if m:
-            c[m + 1] -= float(g4) * c[m - 1]
+            # a unit 4 gamma_m, as on all but at most two slots of every
+            # block, would multiply exactly
+            c[m + 1] -= c[m - 1] if g4 == 1 else float(g4) * c[m - 1]
         p, q = g4.numerator, g4.denominator
         pq = p * q_prev
         # T_{|a-1|} is T_1 at a = 0

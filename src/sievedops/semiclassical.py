@@ -75,10 +75,10 @@ def pearson_data(fam: SievedFamily) -> PearsonData:
     """
     k, s = fam.k, fam.shift
     lk = fam.lam * k
-    uk1 = u_hat(k - 1)
+    uk1, one = u_hat(k - 1), Poly.one()
     phi = ONE_MINUS_X2 * uk1
-    psi = -((Poly.x() * uk1).scale(2 * s) + t_hat(k).scale(k + 2 * lk))
-    d = uk1.scale(-2 * (s + lk)) + u_hat(k - 3).scale(s * lk / 2)
+    psi = sum_of_products([(-2 * s, Poly.x(), uk1), (-(k + 2 * lk), t_hat(k), one)])
+    d = sum_of_products([(-2 * (s + lk), uk1, one), (s * lk / 2, u_hat(k - 3), one)])
     return PearsonData(phi=phi, psi=psi, c=psi - phi.derivative(), d=d)
 
 

@@ -1,10 +1,19 @@
-"""Binary64 monomial coefficients: a float oracle for low-degree checks.
+"""Float oracles: references the package's float code is compared against.
 
 The package evaluates nothing on monomial coefficients in floating point;
 tests that compare against numpy's polyval build the coefficients here.
+The plain loops of the recurrence evaluator and of the Gram matrix's
+Chebyshev rows are kept here too, as the references the package's
+optimised loops must match bit for bit.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
+
+from sievedops.numerics import chebyshev_moments, float_gammas
+from sievedops.recurrence import gamma_flat
 
 
 def float_coeffs(p) -> np.ndarray:
@@ -16,3 +25,53 @@ def float_coeffs(p) -> np.ndarray:
     """
     den = p.denominator
     return np.array([c / den for c in p.numerators] or [0.0])
+
+
+def scaled_derivatives_reference(fam, n: int, x) -> np.ndarray:
+    """numerics.scaled_derivatives as five array operations per step.
+
+    The rows are carried as (r, r', r'') with r = 2^m p_m, each step
+    multiplying by 4 gamma_m and lifting the derivative terms 2 r_m and
+    4 r'_m into rows 1 and 2; the package must match it bit for bit.
+    """
+    x2 = 2.0 * np.asarray(x, dtype=float)
+    g4 = 4.0 * float_gammas(fam, n)
+    lift = np.array([2.0, 4.0]).reshape((2,) + (1,) * x2.ndim)
+    prev = np.zeros((3,) + x2.shape)
+    cur = np.zeros((3,) + x2.shape)
+    cur[0] = 1.0
+    for m in range(n):
+        nxt = x2 * cur
+        nxt -= g4[m] * prev
+        nxt[1:] += lift * cur[:-1]
+        prev, cur = cur, nxt
+    return cur
+
+
+def gram_matrix_reference(fam, n: int) -> np.ndarray:
+    """numerics.gram_matrix with every Chebyshev row C[m + 1] formed as
+    2x C[m] - float(4 gamma_m) C[m - 1], the product taken also where
+    4 gamma_m is 1; the mixed moments S are carried exactly as there."""
+    mu = chebyshev_moments(fam, 2 * n)
+    scale = math.lcm(*(v.denominator for v in mu))
+    cur = [v.numerator * (scale // v.denominator) for v in mu]
+    prev, q_prev = [0] * (2 * n), 1
+    c = np.zeros((n + 1, n + 1))
+    c[0, 0] = 1.0
+    s = np.zeros((n + 1, n + 1))
+    s[0, 0] = cur[0] / scale
+    for m in range(n):
+        c[m + 1, 1:] = c[m, :-1]
+        c[m + 1, 1] += c[m, 0]
+        c[m + 1, :-1] += c[m, 1:]
+        g4 = 4 * gamma_flat(fam, m) if m else Fraction(0)
+        if m:
+            c[m + 1] -= float(g4) * c[m - 1]
+        p, q = g4.numerator, g4.denominator
+        pq = p * q_prev
+        down = [cur[1]] + cur
+        prev, cur, q_prev = cur, [q * (u + v) - pq * w for u, v, w
+                                  in zip(cur[1:], down, prev)], q
+        scale *= q
+        s[m + 1, :m + 2] = [v / scale for v in cur[:m + 2]]
+    return np.triu(c @ s.T)

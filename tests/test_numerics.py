@@ -3,9 +3,10 @@
 import math
 from fractions import Fraction as F
 
+import float_oracle
 import numpy as np
 import pytest
-from float_oracle import float_coeffs
+from float_oracle import float_coeffs, gram_matrix_reference, scaled_derivatives_reference
 from numpy.polynomial.polynomial import polyval
 
 from sievedops import numerics
@@ -86,6 +87,57 @@ def test_sieved_derivatives_match_exact(kind, lam):
                 exact = np.array([float(q.evaluate(t)) for t in pts])
                 scale = np.max(np.abs(exact))
                 assert np.max(np.abs(row - exact)) <= 1e-12 * scale, (k, n)
+
+
+# scalar, 1-D and 2-D x; at high degree the 3 x 4 grid in [-3, 3] overflows
+REFERENCE_XS = [0.3, 1.0, -1.0, np.linspace(-1.0, 1.0, 9),
+                np.linspace(-3.0, 3.0, 12).reshape(3, 4)]
+
+
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+@pytest.mark.parametrize("lam", [F(0), F(1, 2), F(3, 2), F(-1, 4), F(7, 3)])
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_scaled_derivatives_match_reference_loop(kind, lam, k):
+    # bit for bit, at the computed zeros too up to the benchmark's degrees;
+    # n = 0..3 cover the start of the buffer rotation
+    fam = SievedFamily(kind, lam, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (0, 1, 2, 3, 30, 600, 1200):
+            for x in REFERENCE_XS + ([zeros(fam, n).values] if 0 < n <= 30 else []):
+                got = scaled_derivatives(fam, n, x)
+                want = scaled_derivatives_reference(fam, n, x)
+                assert got.shape == want.shape == (3,) + np.shape(x)
+                assert got.tobytes() == want.tobytes(), (n, np.shape(x))
+        assert np.isnan(scaled_derivatives(fam, 1200, REFERENCE_XS[-1])).any()
+
+
+def test_scaled_derivatives_through_overflow():
+    # degree by degree where the grid in [-3, 3] first overflows (inf from
+    # n = 398, NaN from n = 400).  Rows 1 and 2 are carried halved and
+    # divided by 8, so they overflow a step later than the reference's:
+    # only where the reference reads inf or NaN may they differ from it
+    fam = SievedFamily(FIRST, F(1, 2), 3)
+    x = REFERENCE_XS[-1]
+    saw_inf = saw_nan = saw_difference = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(396, 406):
+            got = scaled_derivatives(fam, n, x)
+            want = scaled_derivatives_reference(fam, n, x)
+            same = got.view(np.uint64) == want.view(np.uint64)
+            assert same[0].all() and not np.isfinite(want[~same]).any(), n
+            saw_inf |= np.isinf(want).any()
+            saw_nan |= np.isnan(want).any()
+            saw_difference |= not same.all()
+    assert saw_inf and saw_nan and saw_difference
+
+
+@pytest.mark.parametrize("kind,lam,k", [(FIRST, F(3, 2), 5), (SECOND, F(2), 3)])
+def test_scaled_derivatives_match_reference_loop_high_degree(kind, lam, k):
+    # at the computed zeros, as the zeros command evaluates them
+    fam = SievedFamily(kind, lam, k)
+    x = zeros(fam, 2000).values
+    got = scaled_derivatives(fam, 2000, x)
+    assert got.tobytes() == scaled_derivatives_reference(fam, 2000, x).tobytes()
 
 
 def test_zeros_range_errors():
@@ -187,6 +239,28 @@ def test_gram_matrix_accurate_at_high_degree(kind, lam, k, n):
     # <p_n, p_n> / <p_{n-1}, p_{n-1}> = gamma_n, with 2^n scaling
     ratio = np.diag(g)[1:] / np.diag(g)[:-1] / (4.0 * float_gammas(fam, n + 1)[1:])
     assert np.max(np.abs(ratio - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("kind,lam,k", [
+    (FIRST, F(0), 3), (SECOND, F(1, 2), 4), (FIRST, F(-1, 4), 5),
+    (SECOND, F(7, 3), 6), (FIRST, F(1), 4),
+])
+def test_gram_matrix_matches_reference_rows(kind, lam, k, monkeypatch):
+    # the Chebyshev rows skip the product by a unit 4 gamma_m; bit for bit.
+    # For an orthogonal family G reads only the leading entry of each row
+    # of C, so the moments are also perturbed, which makes every entry count
+    fam = SievedFamily(kind, lam, k)
+    exact = numerics.chebyshev_moments
+
+    def perturbed(family, top):
+        return [v + F(1, 2 ** (d + 10)) for d, v in enumerate(exact(family, top))]
+
+    for moments in (exact, perturbed):
+        monkeypatch.setattr(numerics, "chebyshev_moments", moments)
+        monkeypatch.setattr(float_oracle, "chebyshev_moments", moments)
+        for n in (0, 1, 5, 30, 120):
+            assert gram_matrix(fam, n).tobytes() == gram_matrix_reference(fam, n).tobytes()
+    assert np.triu(gram_matrix(fam, 5), 1).any()
 
 
 def test_planted_moment_error_caught(monkeypatch):
