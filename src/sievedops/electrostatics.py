@@ -2,8 +2,10 @@
 
 Fixed charges q sit at the endpoints and charges 2q - 1/2 at the interior
 points cos(j pi / k); n = k*l movable unit charges live one block of l per
-subinterval.  The energy minimum is the zero set of the first-kind sieved
-polynomial with lam = 2q - 1/2, which verify_theorem checks end to end.
+subinterval.  The energy, its gradient and its Hessian are all read off one
+matrix of gaps from each movable charge to every charge, movable or fixed.
+The energy minimum is the zero set of the first-kind sieved polynomial with
+lam = 2q - 1/2, which verify_theorem checks end to end.
 """
 
 from __future__ import annotations
@@ -74,14 +76,19 @@ class ChargeSystem:
         return 2 * Fraction(self.q).limit_denominator(10**12) - Fraction(1, 2)
 
     @cached_property
-    def interior_points(self) -> np.ndarray:
-        """cos(j pi / k), j = 1..k-1, ascending."""
-        return partition_points(self.k)[1:-1]
+    def fixed_charges(self) -> tuple:
+        """Positions and sizes of the k + 1 fixed charges: 2q - 1/2 at each
+        cos(j pi / k), ascending, then q at -1 and at 1."""
+        return (np.append(partition_points(self.k)[1:-1], [-1.0, 1.0]),
+                np.append(np.full(self.k - 1, self.q_tilde), [self.q, self.q]))
 
     @cached_property
-    def pair_indices(self) -> tuple:
-        """Row and column indices of the pairs i < j, in row-major order."""
-        return np.triu_indices(self.n, 1)
+    def column_weights(self) -> tuple:
+        """Energy and field weights of the gap matrix's columns: 2 s for a
+        charge of size s, but 1 in the energy for a movable unit charge,
+        whose pairs are met from both ends."""
+        field = 2.0 * np.append(np.ones(self.n), self.fixed_charges[1])
+        return np.append(np.ones(self.n), field[self.n:]), field
 
     @cached_property
     def charge_bounds(self) -> tuple:
@@ -125,24 +132,27 @@ def is_feasible(sys: ChargeSystem, x: np.ndarray) -> bool:
     return bool(((lo < x) & (x < hi)).all() and (x[1:] > x[:-1]).all())
 
 
+def _gaps(sys: ChargeSystem, x: np.ndarray, diagonal: float) -> np.ndarray:
+    """The n x (n + k + 1) gaps x_i - P_j, P the movable charges x and then
+    the fixed ones, with `diagonal` on the diagonal."""
+    d = np.subtract.outer(x, np.concatenate((x, sys.fixed_charges[0])))
+    np.fill_diagonal(d, diagonal)
+    return d
+
+
 def energy(sys: ChargeSystem, x: np.ndarray) -> float:
     """Total logarithmic energy; +inf marker for infeasible configurations.
 
-    The monic U_hat(k-1) appears inside the log, exactly as in the model;
+    One weighted sum of log|x_i - P_j|, the diagonal set to 1.  The interior
+    charges enter as the monic U_hat(k-1) inside the log, as in the model;
     the non-monic U would only shift the energy by a constant.
     """
     x = np.asarray(x, dtype=float)
     if not is_feasible(sys, x):
         return math.inf
-    rows, cols = sys.pair_indices
-    # x is increasing, so x_j - x_i > 0 for every pair i < j
-    e = -2.0 * np.log(x[cols] - x[rows]).sum()
-    e -= 2.0 * sys.q * np.log1p(-x * x).sum()
-    # log|U_hat(k-1)| = sum_j log|x - cos(j pi/k)| (monic, roots known)
-    e -= 2.0 * sys.q_tilde * np.log(
-        np.abs(x[:, None] - sys.interior_points[None, :])
-    ).sum()
-    return float(e)
+    d = _gaps(sys, x, 1.0)
+    logs = np.log(np.abs(d, out=d), out=d)
+    return -float(logs.sum(axis=0) @ sys.column_weights[0])
 
 
 def _feasible_array(sys: ChargeSystem, x) -> np.ndarray:
@@ -153,29 +163,21 @@ def _feasible_array(sys: ChargeSystem, x) -> np.ndarray:
 
 
 def _derivatives(sys: ChargeSystem, x: np.ndarray) -> tuple:
-    """Gradient and Hessian of the energy at a feasible x, both built from
-    one matrix of inverse gaps 1 / (x_i - x_j)."""
-    inv = x[:, None] - x[None, :]
-    np.fill_diagonal(inv, np.inf)
-    np.divide(1.0, inv, out=inv)
-    inv_c = 1.0 / (x[:, None] - sys.interior_points[None, :])
-    w = x * x - 1.0
-    g = -2.0 * inv.sum(axis=1)
-    g -= 4.0 * sys.q * x / w
-    g -= 2.0 * sys.q_tilde * inv_c.sum(axis=1)
+    """Gradient and Hessian of the energy at a feasible x: the gradient and
+    the Hessian's diagonal are weighted row sums of 1 / (x_i - P_j) and its
+    square (0 on the diagonal), and off it the Hessian is -2 / (x_i - x_j)^2."""
+    inv = 1.0 / _gaps(sys, x, np.inf)
+    field = sys.column_weights[1]
+    g = -(inv @ field)
     inv *= inv
-    inv_c *= inv_c
-    h = -2.0 * inv
-    diag = 2.0 * inv.sum(axis=1)
-    diag += 4.0 * sys.q * (x * x + 1.0) / (w * w)
-    diag += 2.0 * sys.q_tilde * inv_c.sum(axis=1)
-    np.fill_diagonal(h, diag)
+    h = -2.0 * inv[:, :sys.n]
+    np.fill_diagonal(h, inv @ field)
     return g, h
 
 
 def gradient(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
     x = _feasible_array(sys, x)
-    return _derivatives(sys, x)[0]
+    return -((1.0 / _gaps(sys, x, np.inf)) @ sys.column_weights[1])
 
 
 def hessian(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
@@ -199,13 +201,9 @@ def is_positive_definite(h: np.ndarray) -> bool:
 
 def default_init(sys: ChargeSystem) -> np.ndarray:
     """l Chebyshev points mapped affinely into each open subinterval."""
-    pts = partition_points(sys.k)
+    lo, hi = sys.charge_bounds
     nodes = np.cos((2 * np.arange(sys.l, 0, -1) - 1) * math.pi / (2 * sys.l))
-    out = []
-    for j in range(sys.k):
-        lo, hi = pts[j], pts[j + 1]
-        out.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes)
-    return np.concatenate(out)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.tile(nodes, sys.k)
 
 
 def _inner_bounds(sys: ChargeSystem) -> tuple:
@@ -237,14 +235,18 @@ def solve_equilibrium(
     if not is_feasible(sys, x):
         raise InfeasibleError("initial configuration infeasible")
     lo, hi = _inner_bounds(sys)
+    lo_near, hi_near = lo + ACTIVE_MARGIN, hi - ACTIVE_MARGIN
     e0 = energy(sys, x)
     g, h = _derivatives(sys, x)
     trace = []
     converged = False
     while not converged and len(trace) < MAX_NEWTON_STEPS:
-        margin = min(ACTIVE_MARGIN, float(np.abs(x - np.clip(x - g, lo, hi)).max()))
-        active = ((x <= lo + margin) & (g > 0.0)) | ((x >= hi - margin) & (g < 0.0))
-        n_active = int(np.count_nonzero(active))
+        # the margin is at most ACTIVE_MARGIN: only a charge that near is held
+        n_active = 0
+        if ((x <= lo_near) | (x >= hi_near)).any():
+            margin = min(ACTIVE_MARGIN, float(np.abs(x - np.clip(x - g, lo, hi)).max()))
+            active = ((x <= lo + margin) & (g > 0.0)) | ((x >= hi - margin) & (g < 0.0))
+            n_active = int(np.count_nonzero(active))
         if n_active:
             free = ~active
             d = np.zeros_like(x)
@@ -290,13 +292,10 @@ def theorem_zero_set(sys: ChargeSystem) -> np.ndarray:
 
 
 def partial_fraction_rhs(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
-    """Right side of the stationarity identity p''/p' at a zero."""
-    x = np.asarray(x, dtype=float)
-    out = -2.0 * sys.q / (x - 1.0) - 2.0 * sys.q / (x + 1.0)
-    out -= 2.0 * sys.q_tilde * np.sum(
-        1.0 / (x[:, None] - sys.interior_points[None, :]), axis=1
-    )
-    return out
+    """Right side of the stationarity identity p''/p' at a zero: minus the
+    field of the fixed charges, the gap matrix's last k + 1 columns."""
+    gaps = np.subtract.outer(np.asarray(x, dtype=float), sys.fixed_charges[0])
+    return -((1.0 / gaps) @ sys.column_weights[1][sys.n:])
 
 
 def verify_theorem(sys: ChargeSystem, seed: int | None = None) -> dict:

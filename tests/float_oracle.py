@@ -4,7 +4,9 @@ The package evaluates nothing on monomial coefficients in floating point;
 tests that compare against numpy's polyval build the coefficients here.
 The plain loops of the recurrence evaluator and of the Gram matrix's
 Chebyshev rows are kept here too, as the references the package's
-optimised loops must match bit for bit.
+optimised loops must match bit for bit, and so are the charge model's
+energy, gradient and Hessian written term by term: the pairs, the endpoint
+charges as one term in x^2 - 1 and the interior charges.
 """
 
 import math
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sievedops.numerics import chebyshev_moments, float_gammas
+from sievedops.numerics import chebyshev_moments, float_gammas, partition_points
 from sievedops.recurrence import gamma_flat
 
 
@@ -75,3 +77,38 @@ def gram_matrix_reference(fam, n: int) -> np.ndarray:
         scale *= q
         s[m + 1, :m + 2] = [v / scale for v in cur[:m + 2]]
     return np.triu(c @ s.T)
+
+
+def energy_reference(sys, x) -> float:
+    """electrostatics.energy as three terms, at a feasible x: the pairs
+    i < j, the endpoints through log1p(-x^2) and the interior charges."""
+    x = np.asarray(x, dtype=float)
+    rows, cols = np.triu_indices(sys.n, 1)
+    interior = partition_points(sys.k)[1:-1]
+    e = -2.0 * np.log(x[cols] - x[rows]).sum()
+    e -= 2.0 * sys.q * np.log1p(-x * x).sum()
+    e -= 2.0 * sys.q_tilde * np.log(np.abs(x[:, None] - interior[None, :])).sum()
+    return float(e)
+
+
+def derivatives_reference(sys, x) -> tuple:
+    """Gradient and Hessian of energy_reference, the endpoint terms written
+    as -4qx / (x^2 - 1) and 4q(x^2 + 1) / (x^2 - 1)^2."""
+    x = np.asarray(x, dtype=float)
+    interior = partition_points(sys.k)[1:-1]
+    inv = x[:, None] - x[None, :]
+    np.fill_diagonal(inv, np.inf)
+    np.divide(1.0, inv, out=inv)
+    inv_c = 1.0 / (x[:, None] - interior[None, :])
+    w = x * x - 1.0
+    g = -2.0 * inv.sum(axis=1)
+    g -= 4.0 * sys.q * x / w
+    g -= 2.0 * sys.q_tilde * inv_c.sum(axis=1)
+    inv *= inv
+    inv_c *= inv_c
+    h = -2.0 * inv
+    diag = 2.0 * inv.sum(axis=1)
+    diag += 4.0 * sys.q * (x * x + 1.0) / (w * w)
+    diag += 2.0 * sys.q_tilde * inv_c.sum(axis=1)
+    np.fill_diagonal(h, diag)
+    return g, h

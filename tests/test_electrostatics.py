@@ -6,10 +6,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from float_oracle import float_coeffs
+from float_oracle import derivatives_reference, energy_reference, float_coeffs
 from numpy.polynomial.polynomial import polyval
 
 from sievedops.electrostatics import (
+    ACTIVE_MARGIN,
     ChargeSystem,
     InfeasibleError,
     default_init,
@@ -197,13 +198,32 @@ def test_solver_trace():
     assert all(step.t == 0.5**step.backtracks for step in res.trace)
 
 
+def test_active_set_holds_a_charge_only_within_the_margin():
+    # block 1 is cleared from its left half, so the last charge of block 0,
+    # put near its upper bound, is pushed against it
+    sys_ = ChargeSystem(k=3, l=12, q=0.25)
+    _, hi = sys_.charge_bounds
+    for offset, held in ((0.9 * ACTIVE_MARGIN, 1), (1.1 * ACTIVE_MARGIN, 0)):
+        x = default_init(sys_)
+        x[12:24] = np.linspace(0.0, 0.45, 12)
+        x[11] = hi[11] - offset
+        assert gradient(sys_, x)[11] < 0.0
+        res = solve_equilibrium(sys_, init=x)
+        assert res.converged and res.trace[0].active == held
+
+
 def test_charge_system_geometry_cached():
     sys_ = ChargeSystem(k=4, l=3, q=1.0)
-    assert sys_.interior_points is sys_.interior_points
-    assert sys_.pair_indices is sys_.pair_indices
-    rows, cols = sys_.pair_indices
-    expect = [(i, j) for i in range(sys_.n) for j in range(i + 1, sys_.n)]
-    assert list(zip(rows.tolist(), cols.tolist())) == expect
+    assert sys_.fixed_charges is sys_.fixed_charges
+    assert sys_.column_weights is sys_.column_weights
+    pos, size = sys_.fixed_charges
+    # the interior points ascending, then -1 and 1
+    assert pos.tolist() == partition_points(4)[1:-1].tolist() + [-1.0, 1.0]
+    assert size.tolist() == [1.5, 1.5, 1.5, 1.0, 1.0]
+    # a movable pair is met from both ends, so it weighs 1 in the energy
+    energy_w, field_w = sys_.column_weights
+    assert energy_w.tolist() == [1.0] * 12 + [3.0, 3.0, 3.0, 2.0, 2.0]
+    assert field_w.tolist() == [2.0] * 12 + [3.0, 3.0, 3.0, 2.0, 2.0]
 
 
 def test_solver_rejects_infeasible_init():
@@ -323,3 +343,61 @@ def test_solver_from_perturbed_start_l12(q, k):
     res = solve_equilibrium(sys_, init=pert)
     assert res.converged
     assert np.max(np.abs(res.x_star - zs)) < 1e-10
+
+
+# Newton iterations from the default start of the l = 12 float-model cells;
+# every l = 4 cell takes 7
+FLOAT_MODEL_L12_ITERATIONS = {
+    (0.25, 3): 48, (0.25, 4): 8, (0.25, 5): 8,
+    (0.75, 3): 9, (0.75, 4): 9, (0.75, 5): 9,
+    (1.25, 3): 10, (1.25, 4): 10, (1.25, 5): 9,
+}
+
+
+@pytest.mark.parametrize("q,k,l", FLOAT_MODEL_CELLS)
+def test_solver_iterations_float_model_cells(q, k, l):
+    expect = 7 if l == 4 else FLOAT_MODEL_L12_ITERATIONS[(q, k)]
+    assert solve_equilibrium(ChargeSystem(k=k, l=l, q=q)).iterations == expect
+
+
+@pytest.mark.parametrize("q,k,l", FLOAT_MODEL_CELLS)
+def test_energy_and_derivatives_match_term_by_term_oracle(q, k, l):
+    import sievedops.electrostatics as es
+
+    sys_ = ChargeSystem(k=k, l=l, q=q)
+    rng = np.random.default_rng(0x5EED)
+    for x in [default_init(sys_)] + [random_feasible(sys_, rng) for _ in range(3)]:
+        e_ref = energy_reference(sys_, x)
+        assert abs(energy(sys_, x) - e_ref) <= 1e-10 * abs(e_ref)
+        g_ref, h_ref = derivatives_reference(sys_, x)
+        g, h = es._derivatives(sys_, x)
+        assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
+        assert np.max(np.abs(h - h_ref)) <= 1e-10 * np.max(np.abs(h_ref))
+        # check (a) builds the gradient alone, with the solver's arithmetic
+        assert np.array_equal(gradient(sys_, x), g)
+        assert np.array_equal(hessian(sys_, x), h)
+
+
+def exact_gradient(sys_, x):
+    """The energy's gradient at the float positions x, in exact rationals,
+    the fixed charges at the float points cos(j pi / k) and +-1."""
+    xs = [F(v) for v in x.tolist()]
+    fixed = [(F(c), 2 * F(sys_.q_tilde)) for c in partition_points(sys_.k)[1:-1].tolist()]
+    fixed += [(F(-1), 2 * F(sys_.q)), (F(1), 2 * F(sys_.q))]
+    out = []
+    for i, xi in enumerate(xs):
+        g = -sum(F(2) / (xi - xj) for j, xj in enumerate(xs) if j != i)
+        g -= sum(w / (xi - c) for c, w in fixed)
+        out.append(float(g))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("q,k,l", [(0.25, 5, 12), (1.0, 5, 20)])
+def test_gradient_at_zeros_matches_exact_rationals(q, k, l):
+    # the zeros crowd the endpoints, where the term -4qx / (x^2 - 1) of the
+    # term-by-term formula loses digits to the cancellation in x^2 - 1
+    sys_ = ChargeSystem(k=k, l=l, q=q)
+    xz = theorem_zero_set(sys_)
+    exact = exact_gradient(sys_, xz)
+    assert np.max(np.abs(gradient(sys_, xz) - exact)) < 1e-12
+    assert np.max(np.abs(derivatives_reference(sys_, xz)[0] - exact)) > 1e-12
