@@ -232,11 +232,11 @@ def solve_equilibrium(
     can resolve, so it is taken if feasible and the solve returns.
     """
     x = default_init(sys) if init is None else np.asarray(init, dtype=float).copy()
-    if not is_feasible(sys, x):
+    e0 = energy(sys, x)  # finite exactly where x is feasible
+    if e0 == math.inf:
         raise InfeasibleError("initial configuration infeasible")
     lo, hi = _inner_bounds(sys)
     lo_near, hi_near = lo + ACTIVE_MARGIN, hi - ACTIVE_MARGIN
-    e0 = energy(sys, x)
     g, h = _derivatives(sys, x)
     trace = []
     converged = False

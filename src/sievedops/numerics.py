@@ -1,4 +1,4 @@
-"""Floating-point zeros, weight functions, and orthogonality from moments.
+"""Floating-point zeros and orthogonality from moments.
 
 Every float check runs on the monic three-term recurrence
 p_{m+1} = x p_m - gamma_m p_{m-1}, never on monomial coefficients, which
@@ -36,10 +36,6 @@ from .recurrence import SievedFamily, gamma_flat
 
 class UnsupportedRangeError(ValueError):
     """lam <= -1/2: the Jacobi matrix does not symmetrize."""
-
-
-class DomainError(ValueError):
-    pass
 
 
 class DegenerateConfigurationError(ValueError):
@@ -151,31 +147,6 @@ def zero_residuals(z: ZeroSet) -> np.ndarray:
     else:
         spacing[:] = 1.0
     return np.abs(p) / (np.abs(dp) * spacing)
-
-
-def chebyshev_u_float(k: int, x: float) -> float:
-    """Non-monic U_k by the classical recurrence."""
-    if k == -1:
-        return 0.0
-    prev, cur = 1.0, 2.0 * x
-    if k == 0:
-        return prev
-    for _ in range(1, k):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
-def weight(fam: SievedFamily, x: float) -> float:
-    """Orthogonality weight on (-1, 1)."""
-    _require_positive_definite(fam)
-    if not -1.0 < x < 1.0:
-        raise DomainError(f"x={x} outside the open interval (-1, 1)")
-    lam = float(fam.lam)
-    u = abs(chebyshev_u_float(fam.k - 1, x))
-    exp_edge = lam + (fam.shift - 0.5)
-    if u == 0.0 and lam < 0:
-        return math.inf  # the density's pole at a zero of U_{k-1}
-    return (1.0 - x * x) ** exp_edge * u ** (2.0 * lam)
 
 
 def chebyshev_moments(fam: SievedFamily, top: int) -> list:

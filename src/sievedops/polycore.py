@@ -38,10 +38,6 @@ from typing import Iterable, Sequence, Union
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-class NotDivisibleError(ArithmeticError):
-    """Raised by divide_exact when the division leaves a remainder."""
-
-
 def rat_to_str(r: Fraction) -> str:
     """Serialize a rational as 'p/q' (plain 'p' when q == 1)."""
     if r.denominator == 1:
@@ -102,10 +98,6 @@ class Poly:
     def x(cls) -> "Poly":
         return _X
 
-    @classmethod
-    def constant(cls, c: Union[int, Fraction]) -> "Poly":
-        return cls((c,))
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -164,23 +156,11 @@ class Poly:
             [i * c for i, c in enumerate(self.numerators)][1:], self.denominator
         )
 
-    def evaluate(self, x: Union[int, Fraction]) -> Fraction:
-        """Exact value at x by Horner's rule on the integer numerators."""
-        x = _rational(x)
-        xn, xd = x.numerator, x.denominator
-        d = len(self.numerators) - 1
-        acc, power = 0, 1
-        for c in reversed(self.numerators):
-            acc = acc * xn + c * power
-            power *= xd
-        # acc = sum of n_i xn^i xd^(d-i), the value times den * xd^d
-        return Fraction(acc, self.denominator * xd ** max(d, 0))
-
     def value_at(self, x: float) -> float:
         """The exact value at the float x = xn / 2^e, rounded once.
 
-        Horner as in evaluate with c << e t in place of c xd^t, then one
-        correctly rounded int division (OverflowError past binary64).
+        Horner on the integer numerators, shifts for the powers of 2^e, then
+        one correctly rounded int division (OverflowError past binary64).
         """
         xn, xd = x.as_integer_ratio()
         e = xd.bit_length() - 1
@@ -190,7 +170,9 @@ class Poly:
         return acc / (self.denominator << e * max(len(self.numerators) - 1, 0))
 
     def compose(self, g: "Poly") -> "Poly":
-        """f(g(x)) by Horner over polynomials, on the integer numerators."""
+        """f(g(x)) by Horner over polynomials, on the integer numerators.
+
+        Kept for the benchmark's polycore.compose layer."""
         acc = _ZERO
         for c in reversed(self.numerators):
             acc = sum_of_products(((1, acc, g), (c, _ONE, _ONE)))
@@ -355,11 +337,6 @@ _ONE = _make((1,), 1)
 _X = _make((0, 1), 1)
 
 
-def wronskian(f: Poly, g: Poly) -> Poly:
-    """f*g' - f'*g (in this sign order)."""
-    return sum_of_products(((1, f, g.derivative()), (-1, f.derivative(), g)))
-
-
 def divmod_poly(f: Poly, g: Poly):
     """Euclidean division: f = q*g + r with deg r < deg g."""
     if g.is_zero():
@@ -376,14 +353,6 @@ def divmod_poly(f: Poly, g: Poly):
             for j, gj in enumerate(gc):
                 r[i + j] -= c * gj
     return Poly(q), Poly(r)
-
-
-def divide_exact(f: Poly, g: Poly) -> Poly:
-    """Quotient f/g when g divides f exactly; NotDivisibleError otherwise."""
-    q, r = divmod_poly(f, g)
-    if not r.is_zero():
-        raise NotDivisibleError(f"remainder of degree {r.degree} is nonzero")
-    return q
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:

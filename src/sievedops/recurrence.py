@@ -25,10 +25,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chebyshev import grow, t_hat, table_cache, three_term_step, u_hat
+from .chebyshev import QUARTER, grow, t_hat, table_cache, three_term_step, u_hat
 from .polycore import Poly, sum_of_products
-
-QUARTER = Fraction(1, 4)
 
 
 class SievedKind(enum.Enum):
@@ -131,13 +129,6 @@ def _q_step(fam: SievedFamily, y: Poly):
         return n * (n + 2 * mu - 1) / (4 * (n + mu) * (n + mu - 1) * c2)
 
     return three_term_step(beta, y)
-
-
-def mapped_q(fam: SievedFamily, n: int) -> Poly:
-    """Monic q_n of the mapping: a rescaled ultraspherical polynomial."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return grow([Poly.one(), Poly.x()], n, _q_step(fam, Poly.x()))
 
 
 @table_cache

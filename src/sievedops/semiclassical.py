@@ -1,9 +1,10 @@
 """Pearson data, structure relations, and second-order ODE coefficients.
 
-Two independent routes produce the structure pair (M_N, N_N): closed-form
-Chebyshev expressions and the first-order recursion driven only by the
-Pearson data and the recurrence coefficients.  The recursion is the trusted
-oracle; the closed forms are what the tests put on trial.  Each family keeps
+Two routes here produce the structure pair (M_N, N_N): closed-form Chebyshev
+expressions and the first-order recursion driven only by the Pearson data and
+the recurrence coefficients; the remark's single-term forms and Omega by exact
+division by Phi stay in the tests.  The recursion is the trusted oracle; the
+closed forms are what the tests put on trial.  Each family keeps
 one append-only table of the recursion, held in a cache bounded by
 TABLE_CACHE_SIZE and extended by one step (two kernel calls) per new index.
 
@@ -32,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .chebyshev import ONE_MINUS_X2, TABLE_CACHE_SIZE, grow, t_hat, table_cache, u_hat
-from .polycore import Poly, divide_exact, poly_gcd, sum_of_products
+from .polycore import Poly, poly_gcd, sum_of_products
 from .recurrence import SievedFamily, gamma_flat, sieved_monic
 
 
@@ -152,13 +153,6 @@ def _ode_in_d(pd: PearsonData, m: tuple, nn: tuple, omega: tuple) -> OdeData:
     )
 
 
-def _closed_ode(fam: SievedFamily, big_n: int) -> OdeData:
-    """J, K, L at N from the closed pair and Omega as written."""
-    sp = _closed_pair(fam, big_n)
-    od = _ode_in_d(pearson_data(fam), (sp.m,), (sp.n,), (_closed_omega(fam, big_n),))
-    return OdeData(j=od.j[0], kk=od.kk[0], l=od.l[0])
-
-
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _first_block(fam: SievedFamily) -> tuple:
     """Entry j holds (M, N, Omega, J, K, L) at N = j + d as polynomials in
@@ -199,37 +193,6 @@ def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
     M_N = M_j - 2d U_hat(k-1) and N_N = N_j + d x U_hat(k-1)."""
     (m, nn, *_), d = _block_entry(fam, big_n)
     return StructurePair(m=_at(m, d), n=_at(nn, d))
-
-
-def structure_pair_alternate(fam: SievedFamily, big_n: int) -> StructurePair:
-    """The remark-style (M_N, N_N) built from single Chebyshev terms.
-
-    The first kind's terms at i = j + s, signed (-1)^s, with
-    delta = [i mod k != 0]; the first kind keeps 2 lam k on x U_hat(k-1)
-    at every j.
-    """
-    k, lam, s = fam.k, fam.lam, fam.shift
-    i = big_n % k + s
-    uk1 = u_hat(k - 1)
-    lk = lam * k
-    four = Fraction(4)
-    sign = (-1) ** s
-    delta = int(i % k != 0)
-    if i <= (k - 1) // 2:
-        ukj = _u(k - 1 - 2 * i).scale(sign * four ** (1 - i))
-    else:
-        ukj = _u(2 * i - k - 1).scale(-sign * four ** (-k + i + 1))
-    if i <= (k - 2) // 2:
-        vkj = _u(k - 2 - 2 * i).scale(sign * four ** (-i))
-    else:
-        vkj = _u(2 * i - k).scale(-sign * four ** (-k + i + 1))
-    m = uk1.scale(-2 * (big_n + s + lk * delta)) - ukj.scale(lk / 2)
-    nn = (
-        (Poly.x() * uk1).scale(big_n + 2 * s + 2 * lk * max(delta, 1 - s))
-        - u_hat(k - 2).scale(lk / 2)
-        + vkj.scale(lk / 2)
-    )
-    return StructurePair(m=m, n=nn)
 
 
 @table_cache
@@ -289,20 +252,6 @@ def ode_data(fam: SievedFamily, big_n: int) -> OdeData:
     d = N - j whole blocks (see _first_block)."""
     (*_, j_pol, k_pol, l_pol), d = _block_entry(fam, big_n)
     return OdeData(j=_at(j_pol, d), kk=_at(k_pol, d), l=_at(l_pol, d))
-
-
-def omega_generic(fam: SievedFamily, big_n: int) -> Poly:
-    """Omega recovered by exact division, the dual route to _omega.
-
-    (gamma_{N+1} M_N M_{N+1} - N_N (N_N + C)) / Phi, which must divide
-    exactly.
-    """
-    pd = pearson_data(fam)
-    sp = structure_pair(fam, big_n)
-    sp1 = structure_pair(fam, big_n + 1)
-    gamma = gamma_flat(fam, big_n + 1)
-    numer = (sp.m * sp1.m).scale(gamma) - sp.n * (sp.n + pd.c)
-    return divide_exact(numer, pd.phi)
 
 
 def ode_residual(fam: SievedFamily, big_n: int) -> Poly:

@@ -6,7 +6,8 @@ The plain loops of the recurrence evaluator and of the Gram matrix's
 Chebyshev rows are kept here too, as the references the package's
 optimised loops must match bit for bit, and so are the charge model's
 energy, gradient and Hessian written term by term: the pairs, the endpoint
-charges as one term in x^2 - 1 and the interior charges.
+charges as one term in x^2 - 1 and the interior charges.  The orthogonality
+weight is written out as a float density, for checking the exact moments.
 """
 
 import math
@@ -14,8 +15,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from sievedops.numerics import chebyshev_moments, float_gammas, partition_points
+from sievedops.numerics import (
+    _require_positive_definite,
+    chebyshev_moments,
+    float_gammas,
+    partition_points,
+)
 from sievedops.recurrence import gamma_flat
+
+
+class DomainError(ValueError):
+    """x outside the open interval (-1, 1) of the weight."""
 
 
 def float_coeffs(p) -> np.ndarray:
@@ -112,3 +122,28 @@ def derivatives_reference(sys, x) -> tuple:
     diag += 2.0 * sys.q_tilde * inv_c.sum(axis=1)
     np.fill_diagonal(h, diag)
     return g, h
+
+
+def chebyshev_u_float(k: int, x: float) -> float:
+    """Non-monic U_k by the classical recurrence."""
+    if k == -1:
+        return 0.0
+    prev, cur = 1.0, 2.0 * x
+    if k == 0:
+        return prev
+    for _ in range(1, k):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur
+
+
+def weight(fam, x: float) -> float:
+    """Orthogonality weight on (-1, 1)."""
+    _require_positive_definite(fam)
+    if not -1.0 < x < 1.0:
+        raise DomainError(f"x={x} outside the open interval (-1, 1)")
+    lam = float(fam.lam)
+    u = abs(chebyshev_u_float(fam.k - 1, x))
+    exp_edge = lam + (fam.shift - 0.5)
+    if u == 0.0 and lam < 0:
+        return math.inf  # the density's pole at a zero of U_{k-1}
+    return (1.0 - x * x) ** exp_edge * u ** (2.0 * lam)

@@ -137,7 +137,7 @@ def test_criterion_6_figure_regeneration():
         "126720", "0", "-99840", "0", "30720",
     ]
     # each CSV y must be the exact value at its x rounded once: the reference
-    # sums the Fraction coefficients directly, not through Poly.evaluate
+    # sums the Fraction coefficients times powers of x
     from sievedops.cli import _csv_points
 
     mismatches = 0

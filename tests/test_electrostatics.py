@@ -185,6 +185,33 @@ def test_solver_evaluates_energy_once_per_candidate(monkeypatch):
     assert backtracks > 0
 
 
+def test_solver_checks_feasibility_once_per_energy(monkeypatch):
+    # the start point is checked through its energy alone, so every
+    # feasibility check is the one inside an energy evaluation
+    import sievedops.electrostatics as es
+
+    checks, energies = [], []
+
+    def counted(fn, calls):
+        def wrapper(sys_, x):
+            calls.append(1)
+            return fn(sys_, x)
+        return wrapper
+
+    monkeypatch.setattr(es, "is_feasible", counted(is_feasible, checks))
+    monkeypatch.setattr(es, "energy", counted(energy, energies))
+    for sys_ in (SYS, ChargeSystem(k=5, l=12, q=0.25)):
+        checks.clear()
+        energies.clear()
+        assert solve_equilibrium(sys_).converged
+        assert len(checks) == len(energies) > 1
+    checks.clear()
+    energies.clear()
+    with pytest.raises(InfeasibleError, match="initial configuration infeasible"):
+        solve_equilibrium(SYS, init=np.zeros(SYS.n))
+    assert len(checks) == len(energies) == 1
+
+
 def test_solver_trace():
     sys_ = ChargeSystem(k=3, l=12, q=0.25)
     res = solve_equilibrium(sys_)
