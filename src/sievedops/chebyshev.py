@@ -99,13 +99,6 @@ def u_hat(n: int) -> Poly:
     return grow(_U_TABLE, n, _U_STEP)
 
 
-def chebyshev_u(n: int) -> Poly:
-    """Classical (non-monic) U_n, n >= -1."""
-    if n == -1:
-        return Poly.zero()
-    return u_hat(n).scale(Fraction(2) ** n)
-
-
 IDENTITY_TAGS = (
     "pythagorean",
     "turan",

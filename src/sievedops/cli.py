@@ -163,7 +163,7 @@ def cmd_verify_electrostatics(args):
         for k in (3, 4, 5)
         for l in (1, 2, 3)
     }
-    return {"grid": args.grid, "matrix": matrix}, all(matrix.values())
+    return {"matrix": matrix}, all(matrix.values())
 
 
 def _csv_points(poly: Poly, lo: float, hi: float, samples: int) -> str:
@@ -183,7 +183,7 @@ def _csv_points(poly: Poly, lo: float, hi: float, samples: int) -> str:
 
 def figure_polys() -> dict:
     """The three plotted polynomials: U_4, c_10^{3/2}(.;5), B_14^{1/2}(.;5)."""
-    u4 = chebyshev.chebyshev_u(4)
+    u4 = chebyshev.u_hat(4).scale(16)
     c10 = recurrence.classical_sieved(
         SievedFamily(SievedKind.FIRST, Fraction(3, 2), 5), 10
     )
@@ -211,7 +211,10 @@ def cmd_emit_plot(args) -> int:
     if not args.poly:
         print("emit-plot needs --figure2 or --poly", file=sys.stderr)
         return 2
-    kind, lam, k, n = args.poly.split(":")
+    fields = args.poly.split(":")
+    if len(fields) != 4:
+        raise ValueError(f"--poly must be kind:lambda:k:n, got {args.poly!r}")
+    kind, lam, k, n = fields
     if kind not in ("first", "second"):
         raise ValueError(f"--poly kind must be 'first' or 'second', got {kind!r}")
     fam = SievedFamily(SievedKind(kind), rat_from_str(lam), int(k))
@@ -289,8 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         k=_N, l=_N, q={"type": float, "required": True},
         init_file={"help": "JSON array of starting positions"})
     add("verify-electrostatics", cmd_verify_electrostatics,
-        "equilibrium checks over the default grid", family=False,
-        grid={"choices": ["default"], "default": "default"})
+        "equilibrium checks over a fixed grid of 45 cells", family=False)
     add("emit-plot", cmd_emit_plot, "CSV sample data for the plots",
         family=False, output="CSV path for --poly output",
         figure2={"action": "store_true",

@@ -120,13 +120,12 @@ def scaled_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
     cur[0][0] = 1.0
     # each ufunc writes into its third argument, the out buffer; passed by
     # position it dispatches faster than as out=
-    for m, g in enumerate(g4):
+    for g in g4:
         np.multiply(x2, cur[0], nxt[0])
-        # gamma_0 multiplies p_{-1} = 0
-        if m:
-            if g != 1.0:
-                np.multiply(prev[0], g, prev[0])
-            np.subtract(nxt[0], prev[0], nxt[0])
+        # at m = 0 the zero rows of p_{-1} take gamma_0 = 0.0 and change nothing
+        if g != 1.0:
+            np.multiply(prev[0], g, prev[0])
+        np.subtract(nxt[0], prev[0], nxt[0])
         np.add(nxt[2], cur[1], nxt[2])
         prev, cur, nxt = cur, nxt, prev
     out = cur[0]

@@ -186,11 +186,11 @@ def pi_k_from_determinants(fam: SievedFamily) -> Poly:
     The second kind's row k-1 couples to the next block row through
     a_0^(k) = a_1^(0), and subtracts that wrap term a_1^(0) Delta_0(k+2, 2k-2).
     """
-    k = fam.k
-    pi = delta(fam, 0, 1, k - 1)
+    k, one = fam.k, Poly.one()
+    terms = [(1, delta(fam, 0, 1, k - 1), one)]
     if fam.shift:
-        pi -= delta(fam, 0, k + 2, 2 * k - 2).scale(block_coeff(fam, 1, 0))
-    return pi
+        terms.append((-block_coeff(fam, 1, 0), delta(fam, 0, k + 2, 2 * k - 2), one))
+    return sum_of_products(terms)
 
 
 def mapping_cells(fam: SievedFamily, max_n: int) -> list:

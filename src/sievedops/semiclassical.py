@@ -22,8 +22,8 @@ c = 2s + 2 lam k:
 since (N+1)(N+c) - (j+1)(j+c) = (N-j)(N+j+1+c).  The ODE coefficients
 J = Phi M, K = Psi M - Phi M' and L = N M' + (Omega - N') M are then
 polynomials in d of degrees 1, 1 and 3, read off the products of these.
-Each shifted object, each coefficient in d, and each residual is one call
-of polycore's sum_of_products kernel.
+Each closed form, each shifted object, each coefficient in d, and each
+residual is one call of polycore's sum_of_products kernel.
 """
 
 from __future__ import annotations
@@ -101,18 +101,19 @@ def _closed_pair(fam: SievedFamily, big_n: int) -> StructurePair:
     k, lam, s = fam.k, fam.lam, fam.shift
     j = big_n % k
     t = 2 * s - 1
-    uk1 = u_hat(k - 1)
+    uk1, one = u_hat(k - 1), Poly.one()
     lk = lam * k
-
-    def b(a: int, c: int) -> Poly:
-        return _u(a) * _u(c) - _u(a + t) * _u(c - t)
-
-    m = uk1.scale(-2 * (big_n + s + lk)) - b(j - 1, k - j - 2).scale(lk / 2)
-    nn = (
-        (Poly.x() * uk1).scale(big_n + 2 * s + 2 * lk)
-        - u_hat(k - 2).scale(lk * _eps(fam, j))
-        + b(j - 1, k - j - 3).scale(lk / 8)
-    )
+    m = sum_of_products([
+        (-2 * (big_n + s + lk), uk1, one),
+        (-lk / 2, _u(j - 1), _u(k - j - 2)),
+        (lk / 2, _u(j - 1 + t), _u(k - j - 2 - t)),
+    ])
+    nn = sum_of_products([
+        (big_n + 2 * s + 2 * lk, Poly.x(), uk1),
+        (-lk * _eps(fam, j), u_hat(k - 2), one),
+        (lk / 8, _u(j - 1), _u(k - j - 3)),
+        (-lk / 8, _u(j - 1 + t), _u(k - j - 3 - t)),
+    ])
     return StructurePair(m=m, n=nn)
 
 
@@ -122,9 +123,10 @@ def _closed_omega(fam: SievedFamily, big_n: int) -> Poly:
     k, lam, s = fam.k, fam.lam, fam.shift
     i = big_n % k + s
     lk = lam * k
-    return u_hat(k - 1).scale((big_n + 1) * (big_n + 2 * s + 2 * lk)) + (
-        _u(i - 1) * _u(k - i - 2)
-    ).scale((1 - 2 * s) * lk / 2)
+    return sum_of_products([
+        ((big_n + 1) * (big_n + 2 * s + 2 * lk), u_hat(k - 1), Poly.one()),
+        ((1 - 2 * s) * lk / 2, _u(i - 1), _u(k - i - 2)),
+    ])
 
 
 def _ode_in_d(pd: PearsonData, m: tuple, nn: tuple, omega: tuple) -> OdeData:
@@ -238,13 +240,6 @@ def structure_residual(fam: SievedFamily, big_n: int) -> Poly:
     return sum_of_products(
         [(1, pd.phi, p_n.derivative()), (-1, sp.m, p_n1), (-1, sp.n, p_n)]
     )
-
-
-def _omega(fam: SievedFamily, big_n: int) -> Poly:
-    """Omega at N = j shifted by d = N - j,
-    Omega_N = Omega_j + d (N + j + 1 + 2s + 2 lam k) U_hat(k-1)."""
-    entry, d = _block_entry(fam, big_n)
-    return _at(entry[2], d)
 
 
 def ode_data(fam: SievedFamily, big_n: int) -> OdeData:

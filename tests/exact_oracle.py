@@ -6,7 +6,8 @@ single-term forms of the structure pair, Omega recovered by exact division
 by Phi, the ODE coefficients from the closed forms as written at every N,
 and q_n of the polynomial mapping as a polynomial in x, to be composed with
 T_hat(k).  Exact values at a rational x are taken by Horner's rule on the
-Fraction coefficients.
+Fraction coefficients.  shifted_omega reads Omega off the package's first
+block, the one place the package holds it, for these routes to check.
 """
 
 from fractions import Fraction
@@ -17,6 +18,8 @@ from sievedops.recurrence import _q_step, gamma_flat
 from sievedops.semiclassical import (
     OdeData,
     StructurePair,
+    _at,
+    _block_entry,
     _closed_omega,
     _closed_pair,
     _ode_in_d,
@@ -65,8 +68,15 @@ def structure_pair_alternate(fam, big_n: int) -> StructurePair:
     return StructurePair(m=m, n=nn)
 
 
+def shifted_omega(fam, big_n: int) -> Poly:
+    """Omega as the package holds it: Omega_j of the first block shifted by
+    d = N - j, Omega_N = Omega_j + d (N + j + 1 + 2s + 2 lam k) U_hat(k-1)."""
+    entry, d = _block_entry(fam, big_n)
+    return _at(entry[2], d)
+
+
 def omega_generic(fam, big_n: int) -> Poly:
-    """Omega recovered by exact division, the dual route to _omega.
+    """Omega recovered by exact division, the dual route to shifted_omega.
 
     (gamma_{N+1} M_N M_{N+1} - N_N (N_N + C)) / Phi, whose remainder must
     be zero.

@@ -12,7 +12,6 @@ from numpy.polynomial.polynomial import polyval
 from sievedops import chebyshev
 from sievedops.chebyshev import (
     IDENTITY_TAGS,
-    chebyshev_u,
     identity_residual,
     t_hat,
     u_hat,
@@ -81,7 +80,7 @@ def test_out_of_range_indices():
 
 def test_nonmonic_scaling():
     # U_4 = 16 x^4 - 12 x^2 + 1, T_3 = 4 x^3 - 3 x
-    assert chebyshev_u(4) == Poly([1, 0, -12, 0, 16])
+    assert u_hat(4).scale(16) == Poly([1, 0, -12, 0, 16])
     assert t_hat(3).scale(4) == Poly([0, -3, 0, 4])
 
 

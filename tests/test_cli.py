@@ -356,6 +356,16 @@ def test_emit_plot_rejects_bad_input(args, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spec", ["first:3/2:5", "first:3/2:5:40:1"])
+def test_emit_plot_names_the_poly_format(spec, capsys):
+    rc = main(["emit-plot", "--poly", spec])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "schema": 1, "error": f"--poly must be kind:lambda:k:n, got {spec!r}"}
+
+
 def test_output_file_flag(tmp_path, capsys):
     path = tmp_path / "r.json"
     rc = main(["class", "--kind", "first", "--lambda", "0", "--k", "4",

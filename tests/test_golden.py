@@ -446,9 +446,9 @@ def test_verify_electrostatics_golden(capsys):
     report = json.loads(out)
     assert rc == 0 and err == ""
     assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert sorted(report) == ["command", "grid", "matrix", "schema"]
+    assert sorted(report) == ["command", "matrix", "schema"]
     assert report["command"] == "verify-electrostatics"
-    assert report["grid"] == "default" and report["schema"] == 1
+    assert report["schema"] == 1
     assert report["matrix"] == {
         f"q={q},k={k},l={l}": True
         for q in (0.25, 0.5, 0.75, 1.0, 1.5) for k in (3, 4, 5) for l in (1, 2, 3)

@@ -5,7 +5,12 @@ import threading
 from fractions import Fraction as F
 
 import pytest
-from exact_oracle import closed_ode, omega_generic, structure_pair_alternate
+from exact_oracle import (
+    closed_ode,
+    omega_generic,
+    shifted_omega,
+    structure_pair_alternate,
+)
 
 from sievedops import recurrence, semiclassical
 from sievedops.chebyshev import TABLE_CACHE_SIZE, table_cache, u_hat
@@ -14,7 +19,6 @@ from sievedops.recurrence import SievedFamily, SievedKind, gamma_flat, sieved_mo
 from sievedops.semiclassical import (
     _closed_omega,
     _closed_pair,
-    _omega,
     ode_data,
     ode_residual,
     pearson_data,
@@ -119,7 +123,7 @@ def test_pair_and_omega_over_ten_blocks(fam):
         closed = structure_pair(fam, big_n)
         rec = structure_pair_recursive(fam, big_n)
         assert (closed.m, closed.n) == (rec.m, rec.n), (fam, big_n)
-        assert _omega(fam, big_n) == omega_generic(fam, big_n), (fam, big_n)
+        assert shifted_omega(fam, big_n) == omega_generic(fam, big_n), (fam, big_n)
 
 
 SHIFT_GRID = [
@@ -136,7 +140,7 @@ def test_block_shift_equals_formula_as_written(fam):
     # evaluated afresh at every N
     for big_n in range(10 * fam.k + 1):
         assert structure_pair(fam, big_n) == _closed_pair(fam, big_n), (fam, big_n)
-        assert _omega(fam, big_n) == _closed_omega(fam, big_n), (fam, big_n)
+        assert shifted_omega(fam, big_n) == _closed_omega(fam, big_n), (fam, big_n)
         assert ode_data(fam, big_n) == closed_ode(fam, big_n), (fam, big_n)
 
 
@@ -208,7 +212,7 @@ def test_ode_k_wronskian_form():
 def test_omega_dual_route():
     for fam in GRID[:8]:
         for big_n in range(2 * fam.k + 2):
-            assert omega_generic(fam, big_n) == _omega(fam, big_n), (fam, big_n)
+            assert omega_generic(fam, big_n) == shifted_omega(fam, big_n), (fam, big_n)
 
 
 def test_l0_annihilates_constants():
