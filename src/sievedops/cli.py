@@ -217,10 +217,17 @@ def cmd_emit_plot(args) -> int:
     kind, lam, k, n = fields
     if kind not in ("first", "second"):
         raise ValueError(f"--poly kind must be 'first' or 'second', got {kind!r}")
-    fam = SievedFamily(SievedKind(kind), rat_from_str(lam), int(k))
-    poly = recurrence.classical_sieved(fam, int(n))
+    fam = SievedFamily(SievedKind(kind), rat_from_str(lam), _poly_int("k", k))
+    poly = recurrence.classical_sieved(fam, _poly_int("n", n))
     _write(_csv_points(poly, -1.1, 1.1, args.samples), args.output)
     return 0
+
+
+def _poly_int(field: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--poly {field} must be an integer, got {text!r}") from None
 
 
 # -- parser ---------------------------------------------------------------

@@ -60,7 +60,7 @@ class ChargeSystem:
             warnings.warn(
                 f"q={self.q} < 1/4: interior charges become attractive, "
                 "no equilibrium guarantee",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__
             )
 
     @property

@@ -161,16 +161,17 @@ def chebyshev_moments(fam: SievedFamily, top: int) -> list:
     if top < 0:
         raise ValueError(f"degree must be >= 0, got {top}")
     mu = [Fraction(0)] * (top + 5)
-    nu = Fraction(1)
+    p, q = fam.lam.numerator, fam.lam.denominator
+    nu_p, nu_q = 1, 1  # nu = nu_p / nu_q
     for j in range((top + 2) // (2 * fam.k) + 1):
         d = 2 * fam.k * j
         if fam.shift:
             # mu_2 takes nu_0 / 2 only once
-            mu[d + 2] -= nu / 2
+            mu[d + 2] -= Fraction(nu_p, 2 * nu_q)
             if d:
-                mu[d - 2] -= nu / 2
-        mu[d] += nu
-        nu *= (j - fam.lam) / (j + 1 + fam.lam)
+                mu[d - 2] -= Fraction(nu_p, 2 * nu_q)
+        mu[d] += Fraction(nu_p, nu_q)
+        nu_p, nu_q = nu_p * (j * q - p), nu_q * ((j + 1) * q + p)
     return mu[:top + 1]
 
 
@@ -207,12 +208,13 @@ def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
         c[m + 1, 1] += c[m, 0]
         c[m + 1, :-1] += c[m, 1:]
         # row m + 1 over scale * q, with 4 gamma_m = p / q and gamma_0 = 0
-        g4 = 4 * gamma_flat(fam, m) if m else Fraction(0)
+        g = gamma_flat(fam, m) if m else Fraction(0)
+        d = math.gcd(4, g.denominator)
+        p, q = 4 // d * g.numerator, g.denominator // d
         if m:
             # a unit 4 gamma_m, as on all but at most two slots of every
             # block, would multiply exactly
-            c[m + 1] -= c[m - 1] if g4 == 1 else float(g4) * c[m - 1]
-        p, q = g4.numerator, g4.denominator
+            c[m + 1] -= c[m - 1] if p == q else p / q * c[m - 1]
         pq = p * q_prev
         # T_{|a-1|} is T_1 at a = 0
         down = [cur[1]] + cur

@@ -17,13 +17,13 @@ operators are sugar over it, one call each: f + g, f - g and f.scale(c)
 pass Poly.one() as the second factor, f * g passes c = 1.  Code that sums
 several products passes them all in one call.
 
-The one routine that multiplies, _add_product, adds m a b into that list.
-While the shorter factor has fewer than KRONECKER_MIN_TERMS terms it runs
-the schoolbook loop.  Above it the product goes through Kronecker
-substitution: each factor is packed into one int, the two ints are
-multiplied once (by CPython's Karatsuba) and the coefficients are read back
-off the bytes of the product.  Two long factors that both have a parity are
-first reduced to their nonzero halves.
+A call whose terms are all short adds each product into that list by the
+schoolbook loop (_add_product).  Once the shorter factor of some term has
+KRONECKER_MIN_TERMS nonzero terms, the whole sum is one Kronecker
+substitution (_kronecker): each distinct factor is packed into one int, the
+sum of products is one int (CPython's Karatsuba multiplies), and that is
+read back once, or not at all if it is 0, which is exactly the zero
+polynomial at the slot width chosen.
 """
 
 from __future__ import annotations
@@ -212,19 +212,21 @@ def _canonical(nums: list, den: int) -> Poly:
     return _make(nums, den)
 
 
-# Kronecker substitution replaces the schoolbook loop once the shorter
-# factor has this many terms (after parity compression); measured break-even
+# The whole sum is one Kronecker evaluation once the shorter factor of some
+# term has this many nonzero terms: one product's measured break-even
 KRONECKER_MIN_TERMS = 12
 
 
 def sum_of_products(terms: Iterable[tuple]) -> Poly:
     """The sum of c f g over the terms (c, f, g), c an int or Fraction.
 
-    Every term is brought to one common denominator and added into one
-    numerator list by _add_product, which is normalised once at the end.
-    A linear term passes Poly.one() as g.
+    Every term is brought to one common denominator.  If the shorter factor
+    of some term has KRONECKER_MIN_TERMS nonzero terms or more, the whole
+    sum is one Kronecker evaluation (_kronecker); otherwise _add_product
+    adds each product into one numerator list.  The list is normalised once
+    at the end.  A linear term passes Poly.one() as g.
     """
-    live, den, size = [], 1, 0
+    live, den, size, long = [], 1, 0, False
     for c, f, g in terms:
         c = _rational(c)
         a, b = f.numerators, g.numerators
@@ -234,55 +236,42 @@ def sum_of_products(terms: Iterable[tuple]) -> Poly:
         den = math.lcm(den, term_den)
         if len(a) > len(b):
             a, b = b, a
+        # a list with a parity has every other coefficient zero, the one
+        # before its last included, so only its nonzero half counts
+        if len(a) >= KRONECKER_MIN_TERMS and (
+            a[-2] or len(a) >= 2 * KRONECKER_MIN_TERMS
+        ):
+            long = True
         live.append((c.numerator, term_den, a, b))
         size = max(size, len(a) + len(b) - 1)
-    out = [0] * size
-    for cn, term_den, a, b in live:
-        _add_product(out, cn * (den // term_den), a, b)
+    if long:
+        out = _kronecker([(cn * (den // d), a, b) for cn, d, a, b in live])
+    else:
+        out = [0] * size
+        for cn, term_den, a, b in live:
+            _add_product(out, cn * (den // term_den), a, b)
     return _canonical(out, den)
 
 
 def _add_product(out: list, m: int, a: Sequence[int], b: Sequence[int]) -> None:
-    """Add m a b into out, for trimmed, nonempty int coefficient lists with
-    len(a) <= len(b).
-
-    While a has fewer than KRONECKER_MIN_TERMS terms the schoolbook loop
-    runs, with m folded into a and the zero coefficients of both skipped; a
-    one-term a is a scaling.  Longer factors that both have a parity, as
-    every Chebyshev and sieved polynomial does, are multiplied as their
-    nonzero halves; long products go through Kronecker substitution.
-    """
+    """Add m a b into out by the schoolbook loop, for trimmed, nonempty int
+    lists with len(a) <= len(b); m is folded into a and zero coefficients
+    are skipped, and a one-term a is a scaling."""
     if len(a) == 1:
         m *= a[0]
-        _accumulate(out, slice(0, len(b)), b if m == 1 else [m * v for v in b])
+        scaled = b if m == 1 else [m * v for v in b]
+        # a plain store while the slots are all still zero, as they are for
+        # the first product of a sum
+        if any(out[: len(b)]):
+            scaled = map(operator.add, out, scaled)
+        out[: len(b)] = scaled
         return
-    if len(a) < KRONECKER_MIN_TERMS:
-        nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                ai *= m
-                for j, bj in nonzero_b:
-                    out[i + j] += ai * bj
-        return
-    pa, pb = _parity(a), _parity(b)
-    if pa is None or pb is None:
-        _accumulate(out, slice(0, len(a) + len(b) - 1), _kronecker(m, a, b))
-        return
-    # a trimmed list ends at an index of its parity, so the halves fill
-    # exactly the slots of parity pa + pb
-    ha = a[pa::2]
-    hb = ha if a is b else b[pb::2]
-    halves = [0] * (len(ha) + len(hb) - 1)
-    _add_product(halves, m, ha, hb)
-    _accumulate(out, slice(pa + pb, pa + pb + 2 * len(halves) - 1, 2), halves)
-
-
-def _accumulate(out: list, slots: slice, values: Sequence[int]) -> None:
-    """out[slots] += values term by term; a plain store while those slots
-    are all still zero, as they are for the first product of a sum."""
-    if any(out[slots]):
-        values = map(operator.add, out[slots], values)
-    out[slots] = values
+    nonzero_b = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai:
+            ai *= m
+            for j, bj in nonzero_b:
+                out[i + j] += ai * bj
 
 
 def _parity(a: Sequence[int]):
@@ -294,42 +283,84 @@ def _parity(a: Sequence[int]):
     return None
 
 
-def _kronecker(m: int, a: Sequence[int], b: Sequence[int]) -> list:
-    """m a b by Kronecker substitution (Harvey, J. Symb. Comput. 44, 2009).
+def _kronecker(terms: list) -> list:
+    """The numerator list of the sum of m a b over the terms (m, a, b), int
+    lists with len(a) <= len(b), by one Kronecker substitution (Harvey, J.
+    Symb. Comput. 44, 2009): each distinct factor is packed at 2^w once,
+    the sum of m A B (m A^2 for a square) is one int, and that is read back
+    once.  If every factor has a parity and every product the same one, the
+    nonzero halves are packed, a product of two odd factors shifted up one
+    slot; a trimmed list ends on its parity, so the halves fill the slots.
 
-    Both factors are evaluated at 2^w and multiplied as two ints (squared
-    when a is b), and their product by m.  Every coefficient c of m a b has
-    |c| < 2^(w-1), so adding 2^(w-1) to each w-bit slot makes every slot a
-    nonnegative digit, and the coefficients are read back off the bytes of
-    the sum.
+    Lemma: if every coefficient c of the sum has |c| < 2^(w-1), its
+    balanced base-2^w digits are unique, so the int is 0 exactly for the
+    zero polynomial, and adding 2^(w-1) to each slot makes them all
+    nonnegative.  A coefficient of m a b has |c| <= |m| len(a) max|a| max|b|
+    < 2^(bits-1), so a sum of T terms has |c| < T 2^(bits-1) <= 2^(w-1) for
+    w = max(bits) + bit_length(T - 1).  A zero sum is never read back.
     """
-    bits = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + (abs(m) - 1).bit_length()  # |m| is at most 2 to this power
-        + 1
-    )
-    width = (bits + 7) // 8  # slot width in bytes
-    packed = _pack(a, 8 * width)
-    product = m * (packed * packed if a is b else packed * _pack(b, 8 * width))
-    size = len(a) + len(b) - 1
+    factors = {}
+    for _, a, b in terms:
+        factors[id(a)], factors[id(b)] = a, b
+    parity = {key: _parity(v) for key, v in factors.items()}
+    step = 2
+    if None in parity.values() or len(
+        {parity[id(a)] ^ parity[id(b)] for _, a, b in terms}
+    ) > 1:
+        step, parity = 1, dict.fromkeys(factors, 0)
+    bits = {}
+    for key, v in factors.items():
+        factors[key] = h = v[parity[key] :: step]
+        bits[key] = max(map(abs, h)).bit_length()
+    w = slots = 0
+    for m, a, b in terms:
+        ha, hb = factors[id(a)], factors[id(b)]
+        # |m| is at most 2 to the power (|m| - 1).bit_length()
+        w = max(w, bits[id(a)] + bits[id(b)] + len(ha).bit_length()
+                + (abs(m) - 1).bit_length() + 1)
+        slots = max(slots, len(ha) + len(hb) - 1
+                    + (parity[id(a)] + parity[id(b)]) // 2)
+    width = (w + (len(terms) - 1).bit_length() + 7) // 8  # slot width in bytes
+    for key, h in factors.items():
+        factors[key] = _pack(h, width)
+    total = 0
+    for m, a, b in terms:
+        fa = factors[id(a)]
+        product = m * (fa * fa if a is b else fa * factors[id(b)])
+        if parity[id(a)] + parity[id(b)] == 2:
+            product <<= 8 * width
+        total += product
+    if not total:
+        return []
+    _, a, b = terms[0]
+    first = parity[id(a)] ^ parity[id(b)]
+    out = [0] * (first + step * (slots - 1) + 1)
+    out[first::step] = _unpack(total, width, slots)
+    return out
+
+
+def _bias(width: int, size: int) -> int:
+    """2^(8 width - 1) in each of size slots of width bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+
+
+def _pack(a: Sequence[int], width: int) -> int:
+    """The value at 2^(8 width) of a, for |a_i| < 2^(8 width - 1), in linear
+    time: the biased coefficients are written as bytes and read as one int."""
     half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    raw = (product + bias).to_bytes(width * size, "little")
+    raw = b"".join([(c + half).to_bytes(width, "little") for c in a])
+    return int.from_bytes(raw, "little") - _bias(width, len(a))
+
+
+def _unpack(value: int, width: int, size: int) -> list:
+    """The size coefficients that _pack(coefficients, width) packs into value."""
+    half = 1 << (8 * width - 1)
+    raw = (value + _bias(width, size)).to_bytes(width * size, "little")
     from_bytes = int.from_bytes
     return [
         from_bytes(raw[i : i + width], "little") - half
         for i in range(0, width * size, width)
     ]
-
-
-def _pack(a: Sequence[int], w: int) -> int:
-    """The value at 2^w of the polynomial with coefficients a (Horner)."""
-    acc = 0
-    for c in reversed(a):
-        acc = (acc << w) + c
-    return acc
 
 
 _ZERO = _make((), 1)

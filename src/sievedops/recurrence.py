@@ -76,12 +76,12 @@ def block_coeff(fam: SievedFamily, n: int, j: int) -> Fraction:
         raise ValueError(f"block index j={j} outside [0, {fam.k - 1}]")
     if n < 0:
         raise ValueError(f"block row n={n} must be >= 0")
-    lam, s = fam.lam, fam.shift
+    p, q, s = fam.lam.numerator, fam.lam.denominator, fam.shift
     if j == 0:
-        return Fraction(1) if n == 0 else Fraction(n, 1) / (4 * (n + lam))
+        return Fraction(1) if n == 0 else Fraction(n * q, 4 * (n * q + p))
     if j == (1 - 2 * s) % fam.k:
         r = n + s
-        return Fraction(1, 2) if r == 0 else (r + 2 * lam) / (4 * (r + lam))
+        return Fraction(1, 2) if r == 0 else Fraction(r * q + 2 * p, 4 * (r * q + p))
     return QUARTER
 
 

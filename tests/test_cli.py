@@ -356,14 +356,21 @@ def test_emit_plot_rejects_bad_input(args, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("spec", ["first:3/2:5", "first:3/2:5:40:1"])
+POLY_ERRORS = {
+    "first:3/2:5": "--poly must be kind:lambda:k:n, got 'first:3/2:5'",
+    "first:3/2:5:40:1": "--poly must be kind:lambda:k:n, got 'first:3/2:5:40:1'",
+    "first:3/2:x:5": "--poly k must be an integer, got 'x'",
+    "first:3/2:5:2.5": "--poly n must be an integer, got '2.5'",
+}
+
+
+@pytest.mark.parametrize("spec", list(POLY_ERRORS))
 def test_emit_plot_names_the_poly_format(spec, capsys):
     rc = main(["emit-plot", "--poly", spec])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert json.loads(captured.err) == {
-        "schema": 1, "error": f"--poly must be kind:lambda:k:n, got {spec!r}"}
+    assert json.loads(captured.err) == {"schema": 1, "error": POLY_ERRORS[spec]}
 
 
 def test_output_file_flag(tmp_path, capsys):

@@ -57,8 +57,11 @@ def test_charge_system_validation():
     for q in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             ChargeSystem(k=3, l=1, q=q)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as record:
         ChargeSystem(k=3, l=1, q=0.1)
+    # the warning names the line that built the system, not the dataclass's
+    # generated __init__
+    assert record[0].filename == __file__
     assert SYS.n == 10
     assert SYS.q_tilde == 1.5
     assert SYS.lam == F(3, 2)

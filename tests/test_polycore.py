@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sievedops import polycore
-from sievedops.chebyshev import t_hat
+from sievedops import chebyshev
+from sievedops.chebyshev import identity_residual, t_hat, u_hat
 from sievedops.polycore import (
     KRONECKER_MIN_TERMS,
     Poly,
@@ -397,51 +398,76 @@ def test_kronecker_slots_at_their_bound(n, bits, signs):
     )
 
 
-def test_kronecker_dispatch(monkeypatch):
+def _counted(monkeypatch, name):
+    """The argument tuples of every call of polycore.<name> from now on."""
     calls = []
-    kronecker = polycore._kronecker
+    routine = getattr(polycore, name)
 
-    def counted(m, a, b):
-        calls.append((len(a), len(b)))
-        return kronecker(m, a, b)
+    def counted(*args):
+        calls.append(args)
+        return routine(*args)
 
-    monkeypatch.setattr(polycore, "_kronecker", counted)
+    monkeypatch.setattr(polycore, name, counted)
+    return calls
+
+
+def test_kronecker_dispatch(monkeypatch):
+    kronecker, pack, unpack = (
+        _counted(monkeypatch, name) for name in ("_kronecker", "_pack", "_unpack")
+    )
+
+    def lengths():
+        out = (len(kronecker), [len(args[0]) for args in pack], len(unpack))
+        for calls in (kronecker, pack, unpack):
+            calls.clear()
+        return out
+
     t80 = t_hat(80)
+    # a long square packs the even half of its one factor once and reads
+    # the sum back once
     assert t80 * t80 == Poly(_ref_mul(t80.coeffs, t80.coeffs))
-    assert calls == [(41, 41)]  # the even halves of T_hat(80)
-    calls.clear()
+    assert lengths() == (1, [41], 1)
+    # a zero sum packs each distinct factor once and is never read back:
+    # U_hat(60) (31 even terms), U_hat(59) and U_hat(61) (30 and 31 odd
+    # terms, their product shifted one slot) and the constant
+    assert identity_residual("turan", 60).is_zero()
+    assert lengths() == (1, [31, 30, 31, 1], 0)
+    assert sum_of_products([(1, t80, t80), (-1, t80, t80)]).is_zero()
+    assert lengths() == (1, [41], 0)
+    # a list with a parity counts its nonzero half against the crossover
     assert Poly.x() * t80 == Poly((0,) + t80.coeffs)
-    assert calls == []
+    below = u_hat(2 * KRONECKER_MIN_TERMS - 2)
+    above = u_hat(2 * KRONECKER_MIN_TERMS - 1)
+    assert below * below == Poly(_ref_mul(below.coeffs, below.coeffs))
+    assert lengths() == (0, [], 0)
+    assert above * above == Poly(_ref_mul(above.coeffs, above.coeffs))
+    dense = Poly(range(1, KRONECKER_MIN_TERMS + 1))
+    assert dense * dense == Poly(_ref_mul(dense.coeffs, dense.coeffs))
+    assert lengths() == (2, [KRONECKER_MIN_TERMS, KRONECKER_MIN_TERMS], 2)
 
 
 def test_one_product_routine(monkeypatch):
-    # every ring operation reaches the one routine that multiplies and adds
-    # numerator lists, so no second product path can grow back unseen
-    calls = []
-    add_product = polycore._add_product
-
-    def counted(out, m, a, b):
-        calls.append((len(a), len(b)))
-        return add_product(out, m, a, b)
-
-    monkeypatch.setattr(polycore, "_add_product", counted)
+    # every ring operation reaches the kernel's product code, the schoolbook
+    # routine for short factors and the one Kronecker evaluation for long
+    # ones, so no second product path can grow back unseen
+    add_product = _counted(monkeypatch, "_add_product")
+    kronecker = _counted(monkeypatch, "_kronecker")
     f, g = Poly([F(1, 2), 3]), Poly([2, 0, F(-1, 3)])
-    for op in (
-        lambda: f + g,
-        lambda: f - g,
-        lambda: f.scale(F(2, 3)),
-        lambda: f * g,
-        lambda: sum_of_products([(3, f, g)]),
+    t80, t81 = t_hat(80), t_hat(81)
+    for op, routine in (
+        (lambda: f + g, add_product),
+        (lambda: f - g, add_product),
+        (lambda: f.scale(F(2, 3)), add_product),
+        (lambda: f * g, add_product),
+        (lambda: sum_of_products([(3, f, g)]), add_product),
+        (lambda: t80 + t81, add_product),
+        (lambda: t80 * t81, kronecker),
+        (lambda: sum_of_products([(3, t80, t81), (1, f, g)]), kronecker),
     ):
-        calls.clear()
+        add_product.clear()
+        kronecker.clear()
         op()
-        assert calls
-    # a long square enters once and recurses once, on the even halves, where
-    # test_kronecker_dispatch counts its one Kronecker call
-    calls.clear()
-    t80 = t_hat(80)
-    assert t80 * t80 == Poly(_ref_mul(t80.coeffs, t80.coeffs))
-    assert calls == [(81, 81), (41, 41)]
+        assert routine and not (add_product and kronecker)
 
 
 # -- the n-ary kernel against the Fraction-list reference --------------------
@@ -513,3 +539,99 @@ def test_sum_of_products_cases():
         sum_of_products([(0.0, a, b)])
     with pytest.raises(TypeError):
         sum_of_products([(0.5, Poly.zero(), b)])
+
+
+# -- the packed sum: one Kronecker evaluation per kernel call ----------------
+
+
+@pytest.mark.parametrize("n,bits", [(63, 60), (255, 63)])
+@pytest.mark.parametrize("spread", [1, 2])
+def test_packed_sum_at_the_width_bound(monkeypatch, n, bits, spread):
+    pack = _counted(monkeypatch, "_pack")
+    top = 2**bits - 1
+    # four terms that each add f g: the largest coefficient 4 n top^2 needs
+    # every bit of the width, 2 bits + bit_length(n) + 1 per product plus
+    # bit_length(4 - 1) for the four terms, and that width is one bit past a
+    # whole number of bytes, so one bit less would make the slot a byte
+    # narrower and too small
+    width = 2 * bits + n.bit_length() + 1 + (4 - 1).bit_length()
+    assert width % 8 == 1 and (4 * n * top * top).bit_length() == width - 1
+
+    def spaced(values):
+        # with spread 2 the factors have a parity and pack as their halves
+        out = [0] * (spread * (len(values) - 1) + 1)
+        out[::spread] = values
+        return Poly(out)
+
+    f, g = spaced([top] * n), spaced([top] * n)
+    fn, gn = spaced([-top] * n), spaced([-top] * n)
+    # coefficient i counts the pairs (r, s) with r + s = i, four times over
+    want = spaced(
+        [4 * top * top * min(i + 1, n, 2 * n - 1 - i) for i in range(2 * n - 1)]
+    )
+    terms = [(1, f, g), (-1, fn, g), (1, fn, gn), (-1, f, gn)]
+    assert sum_of_products(terms) == want
+    assert sum_of_products([(-c, a, b) for c, a, b in terms]) == -want
+    assert {slot_bytes for _, slot_bytes in pack} == {width // 8 + 1}
+
+
+@pytest.mark.parametrize("parity", [0, None])
+def test_packed_sum_nonzero_in_one_end_slot(parity):
+    # a sum that is nonzero only in its lowest slot, or only in its highest,
+    # is read back whole however small that slot is against the rest
+    f = Poly(_with_parity([F(3 * i - 40, 1 + i % 3) for i in range(41)], parity))
+    square, tiny = f * f, F(1, 2**200)
+    assert (parity is None) == (polycore._parity(square.numerators) is None)
+    for i in (0, 80):
+        near = square + Poly([0] * i + [tiny])
+        got = sum_of_products([(1, f, f), (-1, near, Poly.one())])
+        assert got == Poly([0] * i + [-tiny])
+
+
+def test_packed_sum_parity_layouts(monkeypatch):
+    kronecker = _counted(monkeypatch, "_kronecker")
+    t80, t81, x = t_hat(80), t_hat(81), Poly.x()
+    dense = Poly([F(i - 11, 3 + i % 4) for i in range(30)])
+    for ts in (
+        [(1, t81, t81), (-3, t80, t80), (F(1, 7), x, x)],  # one class, shifted terms
+        [(1, t80, t81), (F(-2, 5), x, t80)],  # one class, odd
+        [(1, t80, t81), (1, t80, t80)],  # two parity classes
+        [(1, t80, t80), (F(5, 3), dense, t80)],  # a term with no parity
+    ):
+        kronecker.clear()
+        got = sum_of_products(ts)
+        assert len(kronecker) == 1
+        _assert_canonical(got)
+        assert got.coeffs == _ref_sum_of_products(ts), ts
+
+
+# one error planted per identity, 2^-200 x^power added to the polynomial of
+# one index; the residual then holds the error, packed or not
+PLANTED = [
+    ("pythagorean", 60, None, "t_hat", 60, 60, True),
+    ("turan", 60, None, "u_hat", 61, 0, True),  # U_hat(61) loses its parity
+    ("mixed", 60, None, "u_hat", 60, 60, False),
+    ("deriv", 60, None, "t_hat", 60, 60, False),
+    ("sum", 60, None, "u_hat", 59, 59, False),
+    ("product_diff", 45, 60, "u_hat", 15, 15, True),  # the closed form's U_hat(m - n)
+]
+
+
+@pytest.mark.parametrize("tag,n,m,name,index,power,packed", PLANTED)
+def test_planted_identity_errors(monkeypatch, tag, n, m, name, index, power, packed):
+    exact = getattr(chebyshev, name)
+    wrong = exact(index) + Poly([0] * power + [F(1, 2**200)])
+    monkeypatch.setattr(chebyshev, name, lambda i: wrong if i == index else exact(i))
+    terms = []
+
+    def recorded(ts):
+        terms[:] = ts
+        return sum_of_products(ts)
+
+    monkeypatch.setattr(chebyshev, "sum_of_products", recorded)
+    kronecker = _counted(monkeypatch, "_kronecker")
+    got = identity_residual(tag, n, m)
+    assert not got.is_zero()
+    _assert_canonical(got)
+    assert got.coeffs == _ref_sum_of_products(terms)
+    assert bool(kronecker) == packed
