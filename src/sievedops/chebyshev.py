@@ -120,17 +120,21 @@ def identity_residual(tag: str, n: int, m: int | None = None) -> Poly:
     product_diff  U_hat(n) U_hat(m) - U_hat(n-1) U_hat(m+1) minus its
                   closed form (4^{-n} U_hat(m-n) for n <= m, else
                   -4^{-m-1} U_hat(n-m-2))
+
+    pythagorean and sum are stated for n >= 1 and refuse n = 0.
     """
     if n < 0:
         raise ValueError(f"index n must be >= 0, got {n}")
+    if n == 0 and tag in ("pythagorean", "sum"):
+        raise ValueError(f"identity {tag!r} needs n >= 1, got 0")
     x, one = Poly.x(), Poly.one()
     if tag == "pythagorean":
         u = u_hat(n - 1)
-        terms = [(1, t_hat(n), t_hat(n)), (1, ONE_MINUS_X2, u * u),
-                 (-(Fraction(4) ** (1 - n)), one, one)]
+        terms = [(1, t_hat(n), t_hat(n)), (1, ONE_MINUS_X2 * u, u),
+                 (Fraction(-1, 4 ** (n - 1)), one, one)]
     elif tag == "turan":
         terms = [(1, u_hat(n), u_hat(n)), (-1, u_hat(n - 1), u_hat(n + 1)),
-                 (-(Fraction(4) ** (-n)), one, one)]
+                 (Fraction(-1, 4 ** n), one, one)]
     elif tag == "mixed":
         un = u_hat(n)
         terms = [(1, x, un), (-1, ONE_MINUS_X2, un.derivative()),
@@ -143,11 +147,11 @@ def identity_residual(tag: str, n: int, m: int | None = None) -> Poly:
         if m is None or m < 0:
             raise ValueError("product_diff needs a second index m >= 0")
         if n <= m:
-            c, rhs = Fraction(4) ** (-n), u_hat(m - n)
+            c, rhs = Fraction(-1, 4 ** n), u_hat(m - n)
         else:
-            c, rhs = -(Fraction(4) ** (-m - 1)), u_hat(n - m - 2)
+            c, rhs = Fraction(1, 4 ** (m + 1)), u_hat(n - m - 2)
         terms = [(1, u_hat(n), u_hat(m)), (-1, u_hat(n - 1), u_hat(m + 1)),
-                 (-c, rhs, one)]
+                 (c, rhs, one)]
     else:
         raise ValueError(f"unknown identity tag {tag!r}")
     return sum_of_products(terms)

@@ -50,7 +50,7 @@ class ZeroSet:
 
 
 def _require_positive_definite(fam: SievedFamily):
-    if fam.lam <= Fraction(-1, 2):
+    if 2 * fam.lam.numerator <= -fam.lam.denominator:
         raise UnsupportedRangeError(
             f"lam={fam.lam} is outside the positive-definite range lam > -1/2"
         )

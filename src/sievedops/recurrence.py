@@ -10,6 +10,9 @@ The kinds differ by one block index (Al-Salam, Allaway and Askey, Trans.
 AMS 284, 1984): the second kind's terms at j are the first kind's at j + 1,
 with N = kn + j shifted by one.  The block coefficients and the mapping
 read the kind from that offset alone, SievedFamily.shift (0 first, 1 second).
+A family is validated once, when it is made, and is then the integer key
+(shift, p, q, k) with lam = p/q in lowest terms: every per-family cache
+hashes and compares that key, never a Fraction.
 
 q_n obeys a monic three-term recurrence with the ultraspherical
 coefficients beta_n, so Q_n = q_n(T_hat(k)) obeys the same recurrence with
@@ -22,7 +25,7 @@ whatever order the degrees are asked in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 
 from .chebyshev import QUARTER, grow, t_hat, table_cache, three_term_step, u_hat
@@ -38,29 +41,47 @@ class RegularityError(ValueError):
     """Parameter lambda hits a pole of the recurrence coefficients."""
 
 
-def _check_regular(lam: Fraction):
-    if lam < 0 and (2 * lam).denominator == 1:
-        raise RegularityError(
-            f"lambda={lam} is a negative half-integer; the family degenerates"
-        )
-
-
-@dataclass(frozen=True)
 class SievedFamily:
-    kind: SievedKind
-    lam: Fraction
-    k: int
+    """The sieved family (kind, lam, k), validated once and immutable.
 
-    def __post_init__(self):
-        if self.k < 3:
-            raise ValueError(f"sieving order k must be >= 3, got {self.k}")
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        _check_regular(self.lam)
+    kind and lam are coerced by SievedKind(...) and Fraction(...) unless they
+    already are one; k goes through operator.index, so a float k is refused.
+    k must be >= 3, and lam = p/q (lowest terms) regular: not p < 0 with
+    q <= 2, a negative half-integer.  Equality and the hash, computed once,
+    read only the integer key (shift, p, q, k).
+    """
 
-    @property
-    def shift(self) -> int:
-        """The kind's block-index shift: 0 for the first kind, 1 for the second."""
-        return int(self.kind == SievedKind.SECOND)
+    def __init__(self, kind, lam, k):
+        kind = kind if kind.__class__ is SievedKind else SievedKind(kind)
+        lam = lam if lam.__class__ is Fraction else Fraction(lam)
+        k = operator.index(k)
+        if k < 3:
+            raise ValueError(f"sieving order k must be >= 3, got {k}")
+        p, q = lam.numerator, lam.denominator
+        if p < 0 and q <= 2:
+            raise RegularityError(
+                f"lambda={lam} is a negative half-integer; the family degenerates"
+            )
+        shift = int(kind is SievedKind.SECOND)
+        key = (shift, p, q, k)
+        self.__dict__.update(kind=kind, lam=lam, k=k, shift=shift, _key=key,
+                             _hash=hash(key))
+
+    def __eq__(self, other):
+        if other.__class__ is not SievedFamily:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"SievedFamily is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"SievedFamily(kind={self.kind!r}, lam={self.lam!r}, k={self.k!r})"
 
 
 def block_coeff(fam: SievedFamily, n: int, j: int) -> Fraction:

@@ -103,6 +103,17 @@ def test_product_diff_both_branches():
             assert identity_residual("product_diff", n, m).is_zero(), (n, m)
 
 
+def test_identities_at_n_zero():
+    # pythagorean and sum are stated for n >= 1; the others hold at n = 0
+    for tag in ("pythagorean", "sum"):
+        with pytest.raises(ValueError, match=f"{tag}.*n >= 1"):
+            identity_residual(tag, 0)
+    for tag in ("turan", "mixed", "deriv"):
+        assert identity_residual(tag, 0).is_zero(), tag
+    for m in range(4):
+        assert identity_residual("product_diff", 0, m).is_zero(), m
+
+
 def test_product_diff_needs_m():
     with pytest.raises(ValueError):
         identity_residual("product_diff", 2)

@@ -357,6 +357,12 @@ def test_orthogonality_range_error():
         orthogonality_defect(SievedFamily(FIRST, F(-2, 3), 3), 1, 2)
 
 
+def test_positive_definite_range_edge():
+    with pytest.raises(UnsupportedRangeError):
+        zeros(SievedFamily(FIRST, F(-2, 3), 3), 4)
+    assert len(zeros(SievedFamily(FIRST, F(-1, 3), 3), 4).values) == 4
+
+
 def test_partition_points():
     pts = partition_points(4)
     expect = [-1.0, -math.cos(math.pi / 4), 0.0, math.cos(math.pi / 4), 1.0]

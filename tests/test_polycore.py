@@ -617,6 +617,15 @@ PLANTED = [
 ]
 
 
+def test_pythagorean_is_one_packed_zero_sum(monkeypatch):
+    # (1 - x^2) U_hat(n-1) and U_hat(n-1) are one term, so the square is
+    # never read back and packed again, and the zero sum is never read back
+    t_hat(60), u_hat(59)
+    kronecker, unpack = (_counted(monkeypatch, name) for name in ("_kronecker", "_unpack"))
+    assert identity_residual("pythagorean", 60).is_zero()
+    assert (len(kronecker), len(unpack)) == (1, 0)
+
+
 @pytest.mark.parametrize("tag,n,m,name,index,power,packed", PLANTED)
 def test_planted_identity_errors(monkeypatch, tag, n, m, name, index, power, packed):
     exact = getattr(chebyshev, name)

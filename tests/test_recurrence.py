@@ -15,6 +15,7 @@ from sievedops.chebyshev import (
     table_cache,
     u_hat,
 )
+from sievedops.numerics import float_gammas
 from sievedops.polycore import Poly
 from sievedops.recurrence import (
     RegularityError,
@@ -31,6 +32,7 @@ from sievedops.recurrence import (
     pi_k_from_determinants,
     sieved_monic,
 )
+from sievedops.semiclassical import ode_data, pearson_data, structure_pair
 
 FIRST, SECOND = SievedKind.FIRST, SievedKind.SECOND
 
@@ -48,6 +50,79 @@ def test_family_validation():
     # negative but regular values are fine
     SievedFamily(SECOND, F(-7, 6), 3)
     SievedFamily(FIRST, F(-1, 4), 4)
+
+
+def test_kind_given_as_str_means_that_kind():
+    fam = SievedFamily("second", F(2), 3)
+    assert fam == SievedFamily(SECOND, F(2), 3) and fam.kind is SECOND
+    assert fam.shift == 1
+    assert sieved_monic(fam, 5) == sieved_monic(SievedFamily(SECOND, F(2), 3), 5)
+    assert SievedFamily("first", F(2), 3).shift == 0
+    with pytest.raises(ValueError):
+        SievedFamily("third", F(2), 3)
+
+
+@pytest.mark.parametrize("k", [3.5, 3.0])
+def test_non_integer_k_is_refused(k):
+    with pytest.raises(TypeError):
+        SievedFamily(FIRST, F(1, 2), k)
+
+
+def test_k_below_three_is_refused():
+    with pytest.raises(ValueError, match="k must be >= 3, got 2"):
+        SievedFamily(FIRST, F(1, 2), 2)
+
+
+@pytest.mark.parametrize("lam", ["-1/2", "-3/2", "-1", "-2"])
+def test_negative_half_integers_are_refused(lam):
+    message = f"lambda={lam} is a negative half-integer; the family degenerates"
+    with pytest.raises(RegularityError, match=f"^{message}$"):
+        SievedFamily(FIRST, F(lam), 4)
+
+
+def test_family_key():
+    spellings = [SievedFamily(FIRST, lam, 5) for lam in (F(3, 2), "3/2", 1.5)]
+    assert all(fam == FAM_C10 and hash(fam) == hash(FAM_C10) for fam in spellings)
+    made = []
+    tables = table_cache(lambda fam: made.append(fam) or [])
+    assert all(tables(fam) is tables(FAM_C10) for fam in spellings)
+    assert len(made) == 1 and tables.cache_info().currsize == 1
+    for other in (SievedFamily(SECOND, F(3, 2), 5), SievedFamily(FIRST, F(5, 2), 5),
+                  SievedFamily(FIRST, F(3, 4), 5), SievedFamily(FIRST, F(3, 2), 6)):
+        assert other != FAM_C10
+    assert FAM_C10 != (0, 3, 2, 5)
+    assert repr(FAM_C10) == (
+        "SievedFamily(kind=<SievedKind.FIRST: 'first'>, lam=Fraction(3, 2), k=5)"
+    )
+
+
+def test_cache_hits_run_no_fraction_code(monkeypatch):
+    lookups = [
+        pearson_data,
+        lambda fam: sieved_monic(fam, 12),
+        lambda fam: structure_pair(fam, 12),
+        lambda fam: ode_data(fam, 12),
+        lambda fam: float_gammas(fam, 12),
+    ]
+    for lookup in lookups:
+        lookup(SievedFamily(SECOND, F(2, 7), 4))
+    calls = []
+
+    def counted(name):
+        routine = getattr(F, name)
+
+        def call(*args):
+            calls.append(name)
+            return routine(*args)
+
+        return call
+
+    for name in ("__hash__", "__eq__"):
+        monkeypatch.setattr(F, name, counted(name))
+    # a fresh family equal to the cached one hits every cache
+    for lookup in lookups:
+        lookup(SievedFamily(SECOND, F(2, 7), 4))
+    assert calls == []
 
 
 def test_shift_is_read_only_and_follows_the_kind():
