@@ -3,6 +3,11 @@
 T_hat(n) and U_hat(n) are the monic first/second-kind polynomials
 (2^{1-n} T_n and 2^{-n} U_n).  All identities are checked as exact
 coefficient residuals, never as sampled values.
+
+Every recurrence table of the package is a Table: a list that holds the
+step it grows by, made once when the table is made, and appends one step
+per new entry, whatever order the entries are asked in.  t_hat and u_hat
+read two module Tables; table_cache keeps the per-family ones.
 """
 
 from __future__ import annotations
@@ -28,22 +33,32 @@ TABLE_CACHE_SIZE = 64
 _GROW_LOCK = threading.RLock()
 
 
-def grow(table: list, n: int, step):
-    """table[n], first appending step(table) until table has n + 1 entries.
+class Table(list):
+    """An append-only recurrence table and the step it grows by.
 
-    A step computes the next entry from the entries before it and returns
-    it; it is appended only then, so a step that raises leaves the table as
-    it was.
+    The step, made once with the table, computes the next entry from the
+    entries before it and returns it; it is appended only then, so a step
+    that raises leaves the table as it was.
     """
-    if n >= len(table):
-        with _GROW_LOCK:
-            while len(table) <= n:
-                table.append(step(table))
-    return table[n]
+
+    __slots__ = ("step",)
+
+    def __init__(self, start, step):
+        super().__init__(start)
+        self.step = step
+
+    def grow(self, n: int):
+        """Entry n, first appending step(self) until there are n + 1 entries."""
+        if n >= len(self):
+            with _GROW_LOCK:
+                while len(self) <= n:
+                    self.append(self.step(self))
+        return self[n]
 
 
 def table_cache(factory):
-    """Bounded cache of append-only tables: factory(key) makes the table of key.
+    """Bounded cache of Tables: factory(key) makes the Table of key, its step
+    included, so a hit builds nothing.
 
     A miss is filled under the growth lock, so threads that ask for a new
     key at once all get the one table that the cache keeps.
@@ -51,7 +66,7 @@ def table_cache(factory):
     cached = functools.lru_cache(maxsize=TABLE_CACHE_SIZE)(factory)
 
     @functools.wraps(factory)
-    def table(key) -> list:
+    def table(key) -> Table:
         with _GROW_LOCK:
             return cached(key)
 
@@ -77,17 +92,16 @@ def three_term_step(gamma, y: Poly = Poly.x()):
 
 # append-only tables: entry n is T_hat(n) (resp. U_hat(n)), made from the two
 # entries before it, so each degree costs one product whatever the call order
-_T_TABLE = [Poly.one(), Poly.x()]
-_U_TABLE = [Poly.one(), Poly.x()]
-_T_STEP = three_term_step(lambda i: HALF if i == 1 else QUARTER)
-_U_STEP = three_term_step(lambda i: QUARTER)
+_T_TABLE = Table([Poly.one(), Poly.x()],
+                 three_term_step(lambda i: HALF if i == 1 else QUARTER))
+_U_TABLE = Table([Poly.one(), Poly.x()], three_term_step(lambda i: QUARTER))
 
 
 def t_hat(n: int) -> Poly:
     """Monic Chebyshev polynomial of the first kind, n >= 0."""
     if n < 0:
         raise ValueError(f"first-kind index must be >= 0, got {n}")
-    return grow(_T_TABLE, n, _T_STEP)
+    return _T_TABLE.grow(n)
 
 
 def u_hat(n: int) -> Poly:
@@ -96,7 +110,7 @@ def u_hat(n: int) -> Poly:
         raise ValueError(f"second-kind index must be >= -1, got {n}")
     if n == -1:
         return Poly.zero()
-    return grow(_U_TABLE, n, _U_STEP)
+    return _U_TABLE.grow(n)
 
 
 IDENTITY_TAGS = (

@@ -197,6 +197,11 @@ def cmd_emit_plot(args) -> int:
     """Write CSV files rather than a report, and return the exit code."""
     if args.samples < 2:
         raise ValueError(f"--samples must be at least 2, got {args.samples}")
+    if not (args.figure2 or args.poly):
+        raise ValueError("emit-plot needs --figure2 or --poly")
+    if args.figure2 and (args.poly or args.output):
+        raise ValueError("--figure2 writes its own three files: it takes "
+                         "neither --poly nor --output")
     if args.figure2:
         outdir = args.outdir or "."
         os.makedirs(outdir, exist_ok=True)
@@ -208,9 +213,6 @@ def cmd_emit_plot(args) -> int:
         print(json.dumps({"schema": SCHEMA, "command": "emit-plot",
                           "files": sorted(f"{n}.csv" for n in polys)}))
         return 0
-    if not args.poly:
-        print("emit-plot needs --figure2 or --poly", file=sys.stderr)
-        return 2
     fields = args.poly.split(":")
     if len(fields) != 4:
         raise ValueError(f"--poly must be kind:lambda:k:n, got {args.poly!r}")

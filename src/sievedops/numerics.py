@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chebyshev import grow, table_cache
+from .chebyshev import Table, table_cache
 from .recurrence import SievedFamily, gamma_flat
 
 
@@ -57,12 +57,12 @@ def _require_positive_definite(fam: SievedFamily):
 
 
 @table_cache
-def _gamma_table(fam: SievedFamily) -> list:
+def _gamma_table(fam: SievedFamily) -> Table:
     """The family's append-only table: entry m is gamma_m in binary64.
 
     Entry 0 multiplies p_{-1} = 0 and is stored as 0.0.
     """
-    return [0.0]
+    return Table([0.0], lambda t: float(gamma_flat(fam, len(t))))
 
 
 def float_gammas(fam: SievedFamily, n: int) -> np.ndarray:
@@ -72,7 +72,7 @@ def float_gammas(fam: SievedFamily, n: int) -> np.ndarray:
     binary64 number nearest gamma_m.
     """
     table = _gamma_table(fam)
-    grow(table, n - 1, lambda t: float(gamma_flat(fam, len(t))))
+    table.grow(n - 1)
     return np.array(table[:n])
 
 

@@ -18,7 +18,8 @@ q_n obeys a monic three-term recurrence with the ultraspherical
 coefficients beta_n, so Q_n = q_n(T_hat(k)) obeys the same recurrence with
 T_hat(k) in place of x.  Each family keeps one append-only table of
 p_0, p_1, ... and one of Q_0, Q_1, ..., held in caches bounded by
-TABLE_CACHE_SIZE and extended by one recurrence step per new degree,
+TABLE_CACHE_SIZE.  Each is a chebyshev.Table holding its recurrence step,
+made once with the table, and is extended by one step per new degree,
 whatever order the degrees are asked in.
 """
 
@@ -28,7 +29,7 @@ import enum
 import operator
 from fractions import Fraction
 
-from .chebyshev import QUARTER, grow, t_hat, table_cache, three_term_step, u_hat
+from .chebyshev import QUARTER, Table, t_hat, table_cache, three_term_step, u_hat
 from .polycore import Poly, sum_of_products
 
 
@@ -114,16 +115,16 @@ def gamma_flat(fam: SievedFamily, m: int) -> Fraction:
 
 
 @table_cache
-def _monic_table(fam: SievedFamily) -> list:
+def _monic_table(fam: SievedFamily) -> Table:
     """The family's append-only table: entry m is p_m."""
-    return [Poly.one(), Poly.x()]
+    return Table([Poly.one(), Poly.x()], three_term_step(lambda m: gamma_flat(fam, m)))
 
 
 def sieved_monic(fam: SievedFamily, n: int) -> Poly:
     """Monic sieved polynomial of degree n, built from the block recurrence."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    return grow(_monic_table(fam), n, three_term_step(lambda m: gamma_flat(fam, m)))
+    return _monic_table(fam).grow(n)
 
 
 def shifted_factorial(a: Fraction, n: int) -> Fraction:
@@ -153,16 +154,17 @@ def _q_step(fam: SievedFamily, y: Poly):
 
 
 @table_cache
-def _composed_table(fam: SievedFamily) -> list:
+def _composed_table(fam: SievedFamily) -> Table:
     """The family's append-only table: entry n is q_n(T_hat(k))."""
-    return [Poly.one(), t_hat(fam.k)]
+    tk = t_hat(fam.k)
+    return Table([Poly.one(), tk], _q_step(fam, tk))
 
 
 def composed_q(fam: SievedFamily, n: int) -> Poly:
     """q_n(T_hat(k)), stepped as Q_{n+1} = T_hat(k) Q_n - beta_n Q_{n-1}."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    return grow(_composed_table(fam), n, _q_step(fam, t_hat(fam.k)))
+    return _composed_table(fam).grow(n)
 
 
 def monic_normalizer(fam: SievedFamily, n: int) -> Fraction:
@@ -196,8 +198,8 @@ def delta(fam: SievedFamily, n: int, i: int, j: int) -> Poly:
     if j < i - 2:
         return Poly.zero()
     # entry m is the m x m determinant, coupled by a_at(i) .. a_at(i + m - 2)
-    return grow([Poly.one(), Poly.x()], j - i + 2,
-                three_term_step(lambda m: a_at(i + m - 1)))
+    return Table([Poly.one(), Poly.x()],
+                 three_term_step(lambda m: a_at(i + m - 1))).grow(j - i + 2)
 
 
 def pi_k_from_determinants(fam: SievedFamily) -> Poly:

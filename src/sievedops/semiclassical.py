@@ -5,8 +5,9 @@ expressions and the first-order recursion driven only by the Pearson data and
 the recurrence coefficients; the remark's single-term forms and Omega by exact
 division by Phi stay in the tests.  The recursion is the trusted oracle; the
 closed forms are what the tests put on trial.  Each family keeps
-one append-only table of the recursion, held in a cache bounded by
-TABLE_CACHE_SIZE and extended by one step (two kernel calls) per new index.
+one append-only table of the recursion, a chebyshev.Table holding its step,
+in a cache bounded by TABLE_CACHE_SIZE, extended by one step (two kernel
+calls) per new index.
 
 The Pearson data, eps_j and the closed forms are written once for both kinds
 through s = fam.shift (0 for the first kind, 1 for the second), and C is
@@ -22,18 +23,22 @@ c = 2s + 2 lam k:
 since (N+1)(N+c) - (j+1)(j+c) = (N-j)(N+j+1+c).  The ODE coefficients
 J = Phi M, K = Psi M - Phi M' and L = N M' + (Omega - N') M are then
 polynomials in d of degrees 1, 1 and 3, read off the products of these.
-Each closed form, each shifted object, each coefficient in d, and each
-residual is one call of polycore's sum_of_products kernel.
+Each closed form, each coefficient in d, and each residual is one call of
+polycore's sum_of_products kernel.  Each of the six objects is then held as
+integer rows over one denominator, row i the numerators of its d^i
+coefficient, and evaluated at any d by Horner's rule on those ints,
+normalised once: an evaluation in d, not a ring operation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chebyshev import ONE_MINUS_X2, TABLE_CACHE_SIZE, grow, t_hat, table_cache, u_hat
-from .polycore import Poly, poly_gcd, sum_of_products
+from .chebyshev import ONE_MINUS_X2, TABLE_CACHE_SIZE, Table, t_hat, table_cache, u_hat
+from .polycore import Poly, _canonical, poly_gcd, sum_of_products
 from .recurrence import SievedFamily, gamma_flat, sieved_monic
 
 
@@ -155,10 +160,23 @@ def _ode_in_d(pd: PearsonData, m: tuple, nn: tuple, omega: tuple) -> OdeData:
     )
 
 
+def _rows(coeffs: tuple) -> tuple:
+    """(rows, den) for an ascending tuple of Poly coefficients in d: row i
+    holds the numerators of coeffs[i] over den, the lcm of their
+    denominators, every row padded with zeros to one length."""
+    den = math.lcm(*(p.denominator for p in coeffs))
+    size = max(len(p.numerators) for p in coeffs)
+    return tuple(
+        tuple(c * (den // p.denominator) for c in p.numerators)
+        + (0,) * (size - len(p.numerators))
+        for p in coeffs
+    ), den
+
+
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _first_block(fam: SievedFamily) -> tuple:
     """Entry j holds (M, N, Omega, J, K, L) at N = j + d as polynomials in
-    d, each an ascending tuple of Poly coefficients (module docstring), for
+    d (module docstring), each as the (rows, den) of _rows, for
     j = 0..k-1."""
     pd = pearson_data(fam)
     u = u_hat(fam.k - 1)
@@ -170,7 +188,7 @@ def _first_block(fam: SievedFamily) -> tuple:
         m, nn = (sp.m, u.scale(-2)), (sp.n, x_u)
         omega = (_closed_omega(fam, j), u.scale(2 * j + 1 + c), u)
         od = _ode_in_d(pd, m, nn, omega)
-        block.append((m, nn, omega, od.j, od.kk, od.l))
+        block.append(tuple(map(_rows, (m, nn, omega, od.j, od.kk, od.l))))
     return tuple(block)
 
 
@@ -182,12 +200,15 @@ def _block_entry(fam: SievedFamily, big_n: int) -> tuple:
     return _first_block(fam)[j], big_n - j
 
 
-def _at(coeffs: tuple, d: int) -> Poly:
-    """The sum of d^i coeffs[i], in one call of the kernel."""
-    if d == 0:
-        return coeffs[0]
-    one = Poly.one()
-    return sum_of_products([(d**i, c, one) for i, c in enumerate(coeffs)])
+def _at(obj: tuple, d: int) -> Poly:
+    """The polynomial (rows, den) of _rows at d, by Horner's rule on the
+    integer rows and one normalisation, of a fresh list: _canonical trims
+    the list it is given."""
+    rows, den = obj
+    acc = list(rows[-1])
+    for row in rows[-2::-1]:
+        acc = [a * d + c for a, c in zip(acc, row)]
+    return _canonical(acc, den)
 
 
 def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
@@ -198,20 +219,13 @@ def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
 
 
 @table_cache
-def _pair_table(fam: SievedFamily) -> list:
+def _pair_table(fam: SievedFamily) -> Table:
     """The family's append-only table for the Pearson-driven recursion.
 
     Entry N + 1 is (M_N, N_N, M_{N+1}): the pair at index N and the M the
     next step needs.  Entry 0 is the start (M_{-1}, N_{-1}, M_0) = (0, -C, D),
     with the moment functional normalised to <u, 1> = 1.
     """
-    pd = pearson_data(fam)
-    return [(Poly.zero(), -pd.c, pd.d)]
-
-
-def structure_pair_recursive(fam: SievedFamily, big_n: int) -> StructurePair:
-    if big_n < 0:
-        raise ValueError("index must be >= 0")
     pd = pearson_data(fam)
     x, one = Poly.x(), Poly.one()
 
@@ -227,7 +241,13 @@ def structure_pair_recursive(fam: SievedFamily, big_n: int) -> StructurePair:
         )
         return m_cur, n_cur, m_next
 
-    m, nn, _ = grow(_pair_table(fam), big_n + 1, step)
+    return Table([(Poly.zero(), -pd.c, pd.d)], step)
+
+
+def structure_pair_recursive(fam: SievedFamily, big_n: int) -> StructurePair:
+    if big_n < 0:
+        raise ValueError("index must be >= 0")
+    m, nn, _ = _pair_table(fam).grow(big_n + 1)
     return StructurePair(m=m, n=nn)
 
 

@@ -31,10 +31,16 @@ def test_t_hat_3():
     assert t_hat(3) == Poly([0, F(-3, 4), 0, 1])
 
 
+def fresh(table):
+    """A copy of a Chebyshev table cut back to its two starting entries, with
+    the step it holds."""
+    return chebyshev.Table(table[:2], table.step)
+
+
 def test_tables_independent_of_call_order(monkeypatch):
     def fresh_tables():
-        monkeypatch.setattr(chebyshev, "_T_TABLE", [Poly.one(), Poly.x()])
-        monkeypatch.setattr(chebyshev, "_U_TABLE", [Poly.one(), Poly.x()])
+        monkeypatch.setattr(chebyshev, "_T_TABLE", fresh(chebyshev._T_TABLE))
+        monkeypatch.setattr(chebyshev, "_U_TABLE", fresh(chebyshev._U_TABLE))
 
     fresh_tables()
     high = (t_hat(70), u_hat(70))
@@ -57,8 +63,8 @@ def test_tables_grow_safely_under_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            monkeypatch.setattr(chebyshev, "_T_TABLE", [Poly.one(), Poly.x()])
-            monkeypatch.setattr(chebyshev, "_U_TABLE", [Poly.one(), Poly.x()])
+            monkeypatch.setattr(chebyshev, "_T_TABLE", fresh(chebyshev._T_TABLE))
+            monkeypatch.setattr(chebyshev, "_U_TABLE", fresh(chebyshev._U_TABLE))
             threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
             for t in threads:
                 t.start()

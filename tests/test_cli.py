@@ -338,6 +338,32 @@ def test_emit_plot_requires_selection():
     assert main(["emit-plot"]) == 2
 
 
+FIGURE2_ALONE = ("--figure2 writes its own three files: it takes neither --poly "
+                 "nor --output")
+SELECTION_ERRORS = [
+    ([], "emit-plot needs --figure2 or --poly"),
+    (["--samples", "5"], "emit-plot needs --figure2 or --poly"),
+    (["--figure2", "--poly", "first:3/2:5:10", "--output", "f.csv"], FIGURE2_ALONE),
+    (["--figure2", "--poly", "first:3/2:5:10"], FIGURE2_ALONE),
+    (["--figure2", "--output", "f.csv"], FIGURE2_ALONE),
+]
+
+
+@pytest.mark.parametrize(
+    "args,error", SELECTION_ERRORS,
+    ids=["none", "samples", "figure2-poly-output", "figure2-poly", "figure2-output"],
+)
+def test_emit_plot_selection_errors(args, error, tmp_path, monkeypatch, capsys):
+    # the default --outdir "." and the relative --output both land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    rc = main(["emit-plot", *args])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"schema": 1, "error": error}
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "args",
     [

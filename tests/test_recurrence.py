@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from exact_oracle import mapped_q
 
-from sievedops import recurrence
+from sievedops import recurrence, semiclassical
 from sievedops.chebyshev import (
     TABLE_CACHE_SIZE,
     t_hat,
@@ -32,7 +32,12 @@ from sievedops.recurrence import (
     pi_k_from_determinants,
     sieved_monic,
 )
-from sievedops.semiclassical import ode_data, pearson_data, structure_pair
+from sievedops.semiclassical import (
+    ode_data,
+    pearson_data,
+    structure_pair,
+    structure_pair_recursive,
+)
 
 FIRST, SECOND = SievedKind.FIRST, SievedKind.SECOND
 
@@ -466,6 +471,30 @@ def test_table_cache_evicts_and_rebuilds(monkeypatch):
     assert recurrence._composed_table(first) is not table_c
     assert [sieved_monic(first, n) for n in range(12)] == expect
     assert [composed_q(first, n) for n in range(12)] == expect_c
+
+
+@pytest.mark.parametrize(
+    "table,builder,lookup",
+    [
+        ((recurrence, "_monic_table"), (recurrence, "three_term_step"), sieved_monic),
+        ((recurrence, "_composed_table"), (recurrence, "_q_step"), composed_q),
+        ((semiclassical, "_pair_table"), (semiclassical, "pearson_data"),
+         structure_pair_recursive),
+    ],
+    ids=["sieved_monic", "composed_q", "structure_pair_recursive"],
+)
+def test_table_hit_builds_nothing(monkeypatch, table, builder, lookup):
+    # a fresh table makes its step once, when it is made; of 20 lookups of
+    # one family, 19 are hits, and they build no step
+    module, name = table
+    monkeypatch.setattr(module, name, table_cache(getattr(module, name).__wrapped__))
+    module, name = builder
+    real, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    fam = SievedFamily(SECOND, F(2, 7), 4)
+    for _ in range(20):
+        lookup(fam, 19)
+    assert len(calls) == 1
 
 
 def test_failed_step_leaves_table_intact(monkeypatch):

@@ -144,6 +144,63 @@ def test_block_shift_equals_formula_as_written(fam):
         assert ode_data(fam, big_n) == closed_ode(fam, big_n), (fam, big_n)
 
 
+@pytest.mark.parametrize(
+    "fam",
+    [SievedFamily(FIRST, F(3, 2), 5), SievedFamily(SECOND, F(-7, 6), 3),
+     SievedFamily(FIRST, F(0), 4), SievedFamily(SECOND, F(7, 3), 7)],
+    ids=str,
+)
+def test_block_shift_at_large_d(fam):
+    for j in range(fam.k):
+        big_n = j + 400 * fam.k
+        assert structure_pair(fam, big_n) == _closed_pair(fam, big_n), (fam, big_n)
+        assert shifted_omega(fam, big_n) == _closed_omega(fam, big_n), (fam, big_n)
+        assert ode_data(fam, big_n) == closed_ode(fam, big_n), (fam, big_n)
+
+
+def plant_in_row(monkeypatch, fam, obj, j, row):
+    """Patch _first_block so that fam's entry j has 1 added to the first
+    numerator of row `row` of object `obj` (0..5: M, N, Omega, J, K, L)."""
+    real = semiclassical._first_block
+    block = [list(entry) for entry in real(fam)]
+    rows, den = block[j][obj]
+    rows = list(rows)
+    rows[row] = (rows[row][0] + 1, *rows[row][1:])
+    block[j][obj] = (tuple(rows), den)
+    planted = tuple(map(tuple, block))
+    monkeypatch.setattr(semiclassical, "_first_block",
+                        lambda f: planted if f == fam else real(f))
+
+
+def checks_pass(fam, name, big_n) -> list:
+    """Each check that reads the planted object at N, True where it passes."""
+    if name in ("M", "N"):
+        closed, rec = structure_pair(fam, big_n), structure_pair_recursive(fam, big_n)
+        return [structure_residual(fam, big_n).is_zero(),
+                (closed.m, closed.n) == (rec.m, rec.n)]
+    if name == "L":
+        return [ode_residual(fam, big_n).is_zero()]
+    return [shifted_omega(fam, big_n) == omega_generic(fam, big_n)]
+
+
+@pytest.mark.parametrize(
+    "obj,name,j,row",
+    [(0, "M", 2, 1), (1, "N", 0, 1), (5, "L", 1, 3), (2, "Omega", 0, 2)],
+    ids=["M-j2-row1", "N-j0-row1", "L-j1-row3", "Omega-j0-row2"],
+)
+@pytest.mark.parametrize(
+    "fam", [SievedFamily(FIRST, F(3, 2), 5), SievedFamily(SECOND, F(2, 7), 4)],
+    ids=str,
+)
+def test_planted_row_shows_past_the_first_block(monkeypatch, fam, obj, name, j, row):
+    # a row of degree >= 1 in d is invisible at d = 0, so the first block
+    # cannot see an error in it; one whole block on, and forty, it shows
+    plant_in_row(monkeypatch, fam, obj, j, row)
+    assert all(checks_pass(fam, name, j))
+    for big_n in (j + fam.k, j + 40 * fam.k):
+        assert not any(checks_pass(fam, name, big_n)), (name, big_n)
+
+
 def test_structure_residual_negative_lambda_case():
     fam = SievedFamily(FIRST, F(-1, 4), 3)
     assert structure_residual(fam, 7).is_zero()
