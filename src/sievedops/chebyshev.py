@@ -5,9 +5,9 @@ T_hat(n) and U_hat(n) are the monic first/second-kind polynomials
 coefficient residuals, never as sampled values.
 
 Every recurrence table of the package is a Table: a list that holds the
-step it grows by, made once when the table is made, and appends one step
-per new entry, whatever order the entries are asked in.  t_hat and u_hat
-read two module Tables; table_cache keeps the per-family ones.
+step it grows by and appends one step per new entry, whatever order the
+entries are asked in; three_term_table makes the three-term ones.  t_hat
+and u_hat read two module Tables; table_cache keeps the per-family ones.
 """
 
 from __future__ import annotations
@@ -74,27 +74,24 @@ def table_cache(factory):
     return table
 
 
-def three_term_step(gamma, y: Poly = Poly.x()):
-    """Step for the recurrence p_{i+1} = y p_i - gamma(i) p_{i-1}.
+def three_term_table(gamma, y: Poly = Poly.x()) -> Table:
+    """The Table [1, y] of p_{i+1} = y p_i - gamma(i) p_{i-1}, with its step.
 
     With y = x (the default) this is the monic recurrence in x; with y a
-    polynomial it steps the same sequence composed with y.
+    polynomial it is the same sequence composed with y.
     """
-
     one = Poly.one()
 
     def step(table: list) -> Poly:
         i = len(table) - 1
         return sum_of_products(((1, y, table[i]), (-gamma(i), table[i - 1], one)))
 
-    return step
+    return Table([one, y], step)
 
 
-# append-only tables: entry n is T_hat(n) (resp. U_hat(n)), made from the two
-# entries before it, so each degree costs one product whatever the call order
-_T_TABLE = Table([Poly.one(), Poly.x()],
-                 three_term_step(lambda i: HALF if i == 1 else QUARTER))
-_U_TABLE = Table([Poly.one(), Poly.x()], three_term_step(lambda i: QUARTER))
+# entry n is T_hat(n) (resp. U_hat(n)): one product per degree, in any order
+_T_TABLE = three_term_table(lambda i: HALF if i == 1 else QUARTER)
+_U_TABLE = three_term_table(lambda i: QUARTER)
 
 
 def t_hat(n: int) -> Poly:

@@ -202,6 +202,8 @@ def cmd_emit_plot(args) -> int:
     if args.figure2 and (args.poly or args.output):
         raise ValueError("--figure2 writes its own three files: it takes "
                          "neither --poly nor --output")
+    if args.poly and args.outdir:
+        raise ValueError("--poly writes to --output or stdout: it takes no --outdir")
     if args.figure2:
         outdir = args.outdir or "."
         os.makedirs(outdir, exist_ok=True)

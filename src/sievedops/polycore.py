@@ -172,7 +172,8 @@ class Poly:
     def compose(self, g: "Poly") -> "Poly":
         """f(g(x)) by Horner over polynomials, on the integer numerators.
 
-        Kept for the benchmark's polycore.compose layer."""
+        The tests' reference for composed_q and the mapping's p_{kn}, and the
+        benchmark's polycore.compose layer; no package route calls it."""
         acc = _ZERO
         for c in reversed(self.numerators):
             acc = sum_of_products(((1, acc, g), (c, _ONE, _ONE)))

@@ -18,9 +18,9 @@ q_n obeys a monic three-term recurrence with the ultraspherical
 coefficients beta_n, so Q_n = q_n(T_hat(k)) obeys the same recurrence with
 T_hat(k) in place of x.  Each family keeps one append-only table of
 p_0, p_1, ... and one of Q_0, Q_1, ..., held in caches bounded by
-TABLE_CACHE_SIZE.  Each is a chebyshev.Table holding its recurrence step,
-made once with the table, and is extended by one step per new degree,
-whatever order the degrees are asked in.
+TABLE_CACHE_SIZE.  Each, like delta's determinants, is a three_term_table
+holding its step, extended by one step per new degree, whatever order the
+degrees are asked in.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import enum
 import operator
 from fractions import Fraction
 
-from .chebyshev import QUARTER, Table, t_hat, table_cache, three_term_step, u_hat
+from .chebyshev import QUARTER, Table, t_hat, table_cache, three_term_table, u_hat
 from .polycore import Poly, sum_of_products
 
 
@@ -117,7 +117,7 @@ def gamma_flat(fam: SievedFamily, m: int) -> Fraction:
 @table_cache
 def _monic_table(fam: SievedFamily) -> Table:
     """The family's append-only table: entry m is p_m."""
-    return Table([Poly.one(), Poly.x()], three_term_step(lambda m: gamma_flat(fam, m)))
+    return three_term_table(lambda m: gamma_flat(fam, m))
 
 
 def sieved_monic(fam: SievedFamily, n: int) -> Poly:
@@ -134,8 +134,8 @@ def shifted_factorial(a: Fraction, n: int) -> Fraction:
     return out
 
 
-def _q_step(fam: SievedFamily, y: Poly):
-    """Step of the monic recurrence q_{n+1}(y) = y q_n(y) - beta_n q_{n-1}(y).
+def _q_beta(fam: SievedFamily):
+    """beta of the monic recurrence q_{n+1}(y) = y q_n(y) - beta_n q_{n-1}(y).
 
     q_n(y) = c^{-n} P_n(c y), c = 2^{k-1}, with P_n the monic ultraspherical
     polynomial of parameter mu = lam + s, so
@@ -150,14 +150,13 @@ def _q_step(fam: SievedFamily, y: Poly):
             return 1 / (2 * (1 + mu) * c2)
         return n * (n + 2 * mu - 1) / (4 * (n + mu) * (n + mu - 1) * c2)
 
-    return three_term_step(beta, y)
+    return beta
 
 
 @table_cache
 def _composed_table(fam: SievedFamily) -> Table:
     """The family's append-only table: entry n is q_n(T_hat(k))."""
-    tk = t_hat(fam.k)
-    return Table([Poly.one(), tk], _q_step(fam, tk))
+    return three_term_table(_q_beta(fam), t_hat(fam.k))
 
 
 def composed_q(fam: SievedFamily, n: int) -> Poly:
@@ -198,8 +197,7 @@ def delta(fam: SievedFamily, n: int, i: int, j: int) -> Poly:
     if j < i - 2:
         return Poly.zero()
     # entry m is the m x m determinant, coupled by a_at(i) .. a_at(i + m - 2)
-    return Table([Poly.one(), Poly.x()],
-                 three_term_step(lambda m: a_at(i + m - 1))).grow(j - i + 2)
+    return three_term_table(lambda m: a_at(i + m - 1)).grow(j - i + 2)
 
 
 def pi_k_from_determinants(fam: SievedFamily) -> Poly:

@@ -12,9 +12,9 @@ block, the one place the package holds it, for these routes to check.
 
 from fractions import Fraction
 
-from sievedops.chebyshev import Table, u_hat
+from sievedops.chebyshev import three_term_table, u_hat
 from sievedops.polycore import Poly, divmod_poly
-from sievedops.recurrence import _q_step, gamma_flat
+from sievedops.recurrence import _q_beta, gamma_flat
 from sievedops.semiclassical import (
     OdeData,
     StructurePair,
@@ -100,4 +100,4 @@ def closed_ode(fam, big_n: int) -> OdeData:
 
 def mapped_q(fam, n: int) -> Poly:
     """Monic q_n of the mapping: a rescaled ultraspherical polynomial."""
-    return Table([Poly.one(), Poly.x()], _q_step(fam, Poly.x())).grow(n)
+    return three_term_table(_q_beta(fam)).grow(n)

@@ -1,15 +1,12 @@
 """Monic Chebyshev construction and the six exact identities."""
 
 import math
-import sys
-import threading
 from fractions import Fraction as F
 
 import pytest
 from float_oracle import float_coeffs
 from numpy.polynomial.polynomial import polyval
 
-from sievedops import chebyshev
 from sievedops.chebyshev import (
     IDENTITY_TAGS,
     identity_residual,
@@ -29,52 +26,6 @@ def test_u_hat_minus_one_is_zero():
 
 def test_t_hat_3():
     assert t_hat(3) == Poly([0, F(-3, 4), 0, 1])
-
-
-def fresh(table):
-    """A copy of a Chebyshev table cut back to its two starting entries, with
-    the step it holds."""
-    return chebyshev.Table(table[:2], table.step)
-
-
-def test_tables_independent_of_call_order(monkeypatch):
-    def fresh_tables():
-        monkeypatch.setattr(chebyshev, "_T_TABLE", fresh(chebyshev._T_TABLE))
-        monkeypatch.setattr(chebyshev, "_U_TABLE", fresh(chebyshev._U_TABLE))
-
-    fresh_tables()
-    high = (t_hat(70), u_hat(70))
-    low = (t_hat(3), u_hat(3), u_hat(-1))
-    fresh_tables()
-    in_order = [(t_hat(n), u_hat(n - 1)) for n in range(72)]
-    assert high == (in_order[70][0], in_order[71][1])
-    assert low == (in_order[3][0], in_order[4][1], in_order[0][1])
-
-
-def test_tables_grow_safely_under_threads(monkeypatch):
-    expect = [t_hat(n) for n in range(90)], [u_hat(n) for n in range(90)]
-
-    def fill(k):
-        for n in range(89 - k, 0, -7):  # highest first: every thread grows
-            t_hat(n)
-            u_hat(n)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            monkeypatch.setattr(chebyshev, "_T_TABLE", fresh(chebyshev._T_TABLE))
-            monkeypatch.setattr(chebyshev, "_U_TABLE", fresh(chebyshev._U_TABLE))
-            threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-            assert chebyshev._T_TABLE == expect[0]
-            assert chebyshev._U_TABLE == expect[1]
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_out_of_range_indices():

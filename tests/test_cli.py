@@ -346,12 +346,15 @@ SELECTION_ERRORS = [
     (["--figure2", "--poly", "first:3/2:5:10", "--output", "f.csv"], FIGURE2_ALONE),
     (["--figure2", "--poly", "first:3/2:5:10"], FIGURE2_ALONE),
     (["--figure2", "--output", "f.csv"], FIGURE2_ALONE),
+    (["--poly", "first:3/2:5:4", "--samples", "3", "--outdir", "sub"],
+     "--poly writes to --output or stdout: it takes no --outdir"),
 ]
 
 
 @pytest.mark.parametrize(
     "args,error", SELECTION_ERRORS,
-    ids=["none", "samples", "figure2-poly-output", "figure2-poly", "figure2-output"],
+    ids=["none", "samples", "figure2-poly-output", "figure2-poly", "figure2-output",
+         "poly-outdir"],
 )
 def test_emit_plot_selection_errors(args, error, tmp_path, monkeypatch, capsys):
     # the default --outdir "." and the relative --output both land in tmp_path
@@ -373,8 +376,12 @@ def test_emit_plot_selection_errors(args, error, tmp_path, monkeypatch, capsys):
         ["--figure2", "--samples", "1"],
     ],
 )
-def test_emit_plot_rejects_bad_input(args, tmp_path, capsys):
-    rc = main(["emit-plot", "--outdir", str(tmp_path), *args])
+def test_emit_plot_rejects_bad_input(args, tmp_path, monkeypatch, capsys):
+    # --outdir goes only with --figure2, so each --poly case fails for its own
+    # reason; run from tmp_path, any file a case wrote would show there
+    monkeypatch.chdir(tmp_path)
+    outdir = ["--outdir", str(tmp_path)] if "--figure2" in args else []
+    rc = main(["emit-plot", *outdir, *args])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""

@@ -1,20 +1,13 @@
 """Block recurrences, determinants, and the polynomial-mapping factorization."""
 
 import math
-import sys
-import threading
 from fractions import Fraction as F
 
 import pytest
 from exact_oracle import mapped_q
 
-from sievedops import recurrence, semiclassical
-from sievedops.chebyshev import (
-    TABLE_CACHE_SIZE,
-    t_hat,
-    table_cache,
-    u_hat,
-)
+from sievedops import recurrence
+from sievedops.chebyshev import t_hat, table_cache, u_hat
 from sievedops.numerics import float_gammas
 from sievedops.polycore import Poly
 from sievedops.recurrence import (
@@ -32,12 +25,7 @@ from sievedops.recurrence import (
     pi_k_from_determinants,
     sieved_monic,
 )
-from sievedops.semiclassical import (
-    ode_data,
-    pearson_data,
-    structure_pair,
-    structure_pair_recursive,
-)
+from sievedops.semiclassical import ode_data, pearson_data, structure_pair
 
 FIRST, SECOND = SievedKind.FIRST, SievedKind.SECOND
 
@@ -407,115 +395,16 @@ def test_gamma_flat_positive_in_pd_range():
         gamma_flat(FAM_C10, 0)
 
 
+def test_composed_q_at_lambda_zero_is_t_hat():
+    # q_n(T_hat(k)) = T_hat(kn)
+    assert composed_q(SievedFamily(FIRST, F(0), 3), 9) == t_hat(27)
+
+
 def fresh_tables(monkeypatch):
     """Empty per-family table caches, restored after the test."""
     for name in ("_monic_table", "_composed_table"):
         factory = getattr(recurrence, name).__wrapped__
         monkeypatch.setattr(recurrence, name, table_cache(factory))
-
-
-def test_tables_independent_of_call_order(monkeypatch):
-    fam, fam_q = SievedFamily(SECOND, F(2, 7), 4), SievedFamily(FIRST, F(5, 3), 3)
-    fam_t = SievedFamily(FIRST, F(0), 3)
-    fresh_tables(monkeypatch)
-    high = (sieved_monic(fam, 70), composed_q(fam_q, 70))
-    low = (sieved_monic(fam, 3), composed_q(fam_q, 3), composed_q(fam_t, 9))
-    fresh_tables(monkeypatch)
-    in_order = [(sieved_monic(fam, n), composed_q(fam_q, n)) for n in range(71)]
-    assert high == in_order[70]
-    # at lam = 0, q_n(T_hat(k)) = T_hat(kn)
-    assert low == (*in_order[3], t_hat(27))
-
-
-def test_tables_grow_safely_under_threads(monkeypatch):
-    fam, fam_q = SievedFamily(FIRST, F(3, 4), 3), SievedFamily(SECOND, F(1, 3), 3)
-    expect = (
-        [sieved_monic(fam, n) for n in range(90)],
-        [composed_q(fam_q, n) for n in range(90)],
-    )
-
-    def fill(k):
-        for n in range(89 - k, 0, -7):  # highest first: every thread grows
-            sieved_monic(fam, n)
-            composed_q(fam_q, n)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            fresh_tables(monkeypatch)
-            threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-            assert recurrence._monic_table(fam) == expect[0]
-            assert recurrence._composed_table(fam_q) == expect[1]
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_table_cache_evicts_and_rebuilds(monkeypatch):
-    fresh_tables(monkeypatch)
-    first = SievedFamily(FIRST, F(1, 2), 3)
-    expect = [sieved_monic(first, n) for n in range(12)]
-    expect_c = [composed_q(first, n) for n in range(12)]
-    table, table_c = recurrence._monic_table(first), recurrence._composed_table(first)
-    for i in range(1, TABLE_CACHE_SIZE + 2):
-        sieved_monic(SievedFamily(FIRST, F(1, 2), 3 + i), 2)
-        composed_q(SievedFamily(FIRST, F(1, 2) + i, 3), 2)
-    assert recurrence._monic_table.cache_info().currsize == TABLE_CACHE_SIZE
-    assert recurrence._composed_table.cache_info().currsize == TABLE_CACHE_SIZE
-    assert recurrence._monic_table(first) is not table
-    assert recurrence._composed_table(first) is not table_c
-    assert [sieved_monic(first, n) for n in range(12)] == expect
-    assert [composed_q(first, n) for n in range(12)] == expect_c
-
-
-@pytest.mark.parametrize(
-    "table,builder,lookup",
-    [
-        ((recurrence, "_monic_table"), (recurrence, "three_term_step"), sieved_monic),
-        ((recurrence, "_composed_table"), (recurrence, "_q_step"), composed_q),
-        ((semiclassical, "_pair_table"), (semiclassical, "pearson_data"),
-         structure_pair_recursive),
-    ],
-    ids=["sieved_monic", "composed_q", "structure_pair_recursive"],
-)
-def test_table_hit_builds_nothing(monkeypatch, table, builder, lookup):
-    # a fresh table makes its step once, when it is made; of 20 lookups of
-    # one family, 19 are hits, and they build no step
-    module, name = table
-    monkeypatch.setattr(module, name, table_cache(getattr(module, name).__wrapped__))
-    module, name = builder
-    real, calls = getattr(module, name), []
-    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
-    fam = SievedFamily(SECOND, F(2, 7), 4)
-    for _ in range(20):
-        lookup(fam, 19)
-    assert len(calls) == 1
-
-
-def test_failed_step_leaves_table_intact(monkeypatch):
-    fam = SievedFamily(SECOND, F(3, 5), 5)
-    fresh_tables(monkeypatch)
-    expect = [sieved_monic(fam, n) for n in range(40)]
-    fresh_tables(monkeypatch)
-    real, raised = recurrence.gamma_flat, []
-
-    def flaky(f, m):
-        if m == 17 and not raised:
-            raised.append(m)
-            raise ArithmeticError("injected")
-        return real(f, m)
-
-    monkeypatch.setattr(recurrence, "gamma_flat", flaky)
-    with pytest.raises(ArithmeticError):
-        sieved_monic(fam, 39)
-    assert recurrence._monic_table(fam) == expect[:18]
-    assert sieved_monic(fam, 39) == expect[39]
-    assert recurrence._monic_table(fam) == expect
 
 
 def test_sieved_monic_sweep_one_product_per_degree(monkeypatch):

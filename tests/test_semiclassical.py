@@ -1,7 +1,5 @@
 """Pearson data, structure pairs (three routes), ODE coefficients, class."""
 
-import sys
-import threading
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +11,7 @@ from exact_oracle import (
 )
 
 from sievedops import recurrence, semiclassical
-from sievedops.chebyshev import TABLE_CACHE_SIZE, table_cache, u_hat
+from sievedops.chebyshev import table_cache, u_hat
 from sievedops.polycore import Poly, divmod_poly, poly_gcd
 from sievedops.recurrence import SievedFamily, SievedKind, gamma_flat, sieved_monic
 from sievedops.semiclassical import (
@@ -312,81 +310,6 @@ def fresh_pair_tables(monkeypatch):
     """An empty per-family pair-table cache, restored after the test."""
     factory = semiclassical._pair_table.__wrapped__
     monkeypatch.setattr(semiclassical, "_pair_table", table_cache(factory))
-
-
-def pairs(fam, indices):
-    return [
-        (sp.m, sp.n) for sp in (structure_pair_recursive(fam, i) for i in indices)
-    ]
-
-
-def test_pair_table_independent_of_call_order(monkeypatch):
-    fam = SievedFamily(SECOND, F(2, 7), 4)
-    fresh_pair_tables(monkeypatch)
-    high = pairs(fam, (60, 2, 0))
-    fresh_pair_tables(monkeypatch)
-    in_order = pairs(fam, range(61))
-    assert high == [in_order[60], in_order[2], in_order[0]]
-
-
-def test_pair_table_grows_safely_under_threads(monkeypatch):
-    fam = SievedFamily(FIRST, F(3, 4), 3)
-    fresh_pair_tables(monkeypatch)
-    pairs(fam, range(60))
-    expect = list(semiclassical._pair_table(fam))
-
-    def fill(k):
-        for i in range(59 - k, 0, -7):  # highest first: every thread grows
-            structure_pair_recursive(fam, i)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            fresh_pair_tables(monkeypatch)
-            threads = [threading.Thread(target=fill, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-                assert not t.is_alive()
-            assert semiclassical._pair_table(fam) == expect
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_pair_table_cache_evicts_and_rebuilds(monkeypatch):
-    fresh_pair_tables(monkeypatch)
-    first = SievedFamily(SECOND, F(1, 2), 3)
-    expect = pairs(first, range(12))
-    table = semiclassical._pair_table(first)
-    for i in range(1, TABLE_CACHE_SIZE + 2):
-        structure_pair_recursive(SievedFamily(SECOND, F(1, 2) + i, 3), 1)
-    assert semiclassical._pair_table.cache_info().currsize == TABLE_CACHE_SIZE
-    assert semiclassical.pearson_data.cache_info().currsize <= TABLE_CACHE_SIZE
-    assert semiclassical._pair_table(first) is not table
-    assert pairs(first, range(12)) == expect
-
-
-def test_failed_pair_step_leaves_table_intact(monkeypatch):
-    fam = SievedFamily(FIRST, F(3, 5), 5)
-    fresh_pair_tables(monkeypatch)
-    expect = pairs(fam, range(30))
-    fresh_pair_tables(monkeypatch)
-    real, raised = semiclassical.gamma_flat, []
-
-    def flaky(f, m):
-        if m == 17 and not raised:
-            raised.append(m)
-            raise ArithmeticError("injected")
-        return real(f, m)
-
-    monkeypatch.setattr(semiclassical, "gamma_flat", flaky)
-    with pytest.raises(ArithmeticError):
-        structure_pair_recursive(fam, 29)
-    # the step for N = 16 needs gamma_17 for M_17, so pairs 0..15 remain
-    assert len(semiclassical._pair_table(fam)) == 17
-    assert pairs(fam, range(30)) == expect
 
 
 def test_sweep_costs_a_few_products_per_degree(monkeypatch):
