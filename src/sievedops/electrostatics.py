@@ -3,7 +3,9 @@
 Fixed charges q sit at the endpoints and charges 2q - 1/2 at the interior
 points cos(j pi / k); n = k*l movable unit charges live one block of l per
 subinterval.  The energy, its gradient and its Hessian are all read off one
-matrix of gaps from each movable charge to every charge, movable or fixed.
+matrix of gaps from each movable charge to every charge, movable or fixed;
+the solver builds that matrix once per trial point, and the energy of an
+accepted point and the gradient and Hessian of its next step share it.
 The energy minimum is the zero set of the first-kind sieved polynomial with
 lam = 2q - 1/2, which verify_theorem checks end to end.
 """
@@ -136,8 +138,20 @@ def _gaps(sys: ChargeSystem, x: np.ndarray, diagonal: float) -> np.ndarray:
     """The n x (n + k + 1) gaps x_i - P_j, P the movable charges x and then
     the fixed ones, with `diagonal` on the diagonal."""
     d = np.subtract.outer(x, np.concatenate((x, sys.fixed_charges[0])))
-    np.fill_diagonal(d, diagonal)
+    # entry (i, i) of a row of n + k + 1 gaps
+    d.flat[::sys.n + sys.k + 2] = diagonal
     return d
+
+
+def _energy_and_gaps(sys: ChargeSystem, x: np.ndarray) -> tuple:
+    """The energy at x and the gaps it was read from, 1.0 on the diagonal;
+    (+inf, None) where x is infeasible."""
+    if not is_feasible(sys, x):
+        return math.inf, None
+    d = _gaps(sys, x, 1.0)
+    logs = np.abs(d)
+    np.log(logs, logs)
+    return -float(logs.sum(axis=0) @ sys.column_weights[0]), d
 
 
 def energy(sys: ChargeSystem, x: np.ndarray) -> float:
@@ -147,12 +161,7 @@ def energy(sys: ChargeSystem, x: np.ndarray) -> float:
     charges enter as the monic U_hat(k-1) inside the log, as in the model;
     the non-monic U would only shift the energy by a constant.
     """
-    x = np.asarray(x, dtype=float)
-    if not is_feasible(sys, x):
-        return math.inf
-    d = _gaps(sys, x, 1.0)
-    logs = np.log(np.abs(d, out=d), out=d)
-    return -float(logs.sum(axis=0) @ sys.column_weights[0])
+    return _energy_and_gaps(sys, np.asarray(x, dtype=float))[0]
 
 
 def _feasible_array(sys: ChargeSystem, x) -> np.ndarray:
@@ -162,16 +171,19 @@ def _feasible_array(sys: ChargeSystem, x) -> np.ndarray:
     return x
 
 
-def _derivatives(sys: ChargeSystem, x: np.ndarray) -> tuple:
-    """Gradient and Hessian of the energy at a feasible x: the gradient and
-    the Hessian's diagonal are weighted row sums of 1 / (x_i - P_j) and its
-    square (0 on the diagonal), and off it the Hessian is -2 / (x_i - x_j)^2."""
-    inv = 1.0 / _gaps(sys, x, np.inf)
+def _derivatives(sys: ChargeSystem, d: np.ndarray) -> tuple:
+    """Gradient and Hessian of the energy from the gaps d of a feasible
+    point, which they overwrite: the gradient and the Hessian's diagonal are
+    weighted row sums of 1 / (x_i - P_j) and its square (0 on the diagonal),
+    and off it the Hessian is -2 / (x_i - x_j)^2.  1 / d with its diagonal
+    set to 0 is 1 / _gaps(sys, x, inf) bit for bit."""
+    inv = np.divide(1.0, d, d)
+    inv.flat[::sys.n + sys.k + 2] = 0.0
     field = sys.column_weights[1]
     g = -(inv @ field)
     inv *= inv
     h = -2.0 * inv[:, :sys.n]
-    np.fill_diagonal(h, inv @ field)
+    h.flat[::sys.n + 1] = inv @ field
     return g, h
 
 
@@ -182,7 +194,7 @@ def gradient(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
 
 def hessian(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
     x = _feasible_array(sys, x)
-    return _derivatives(sys, x)[1]
+    return _derivatives(sys, _gaps(sys, x, 1.0))[1]
 
 
 def is_diag_dominant(h: np.ndarray) -> bool:
@@ -226,25 +238,28 @@ def solve_equilibrium(
     other charges, and backtracks t from 1 along the projected arc
     x(t) = P(x + t d) until E(x(t)) <= E - 1e-4 t (-g.d).  `energy` is +inf
     off the ordered, blocked set, so it also rejects trials that break the
-    ordering.  The solve has converged once no charge is held and the Newton
+    ordering.  Each trial point's gaps are built once: the line search reads
+    its energy off them, and an accepted point its gradient and Hessian.
+    The solve has converged once no charge is held and the Newton
     decrement -g.d is at most 1e-15 (1 + |E|) (Boyd and Vandenberghe,
     Convex Optimization, 9.5): that step is below what comparing energies
     can resolve, so it is taken if feasible and the solve returns.
     """
     x = default_init(sys) if init is None else np.asarray(init, dtype=float).copy()
-    e0 = energy(sys, x)  # finite exactly where x is feasible
-    if e0 == math.inf:
+    e0, gaps = _energy_and_gaps(sys, x)
+    if gaps is None:
         raise InfeasibleError("initial configuration infeasible")
     lo, hi = _inner_bounds(sys)
     lo_near, hi_near = lo + ACTIVE_MARGIN, hi - ACTIVE_MARGIN
-    g, h = _derivatives(sys, x)
+    g, h = _derivatives(sys, gaps)
     trace = []
     converged = False
     while not converged and len(trace) < MAX_NEWTON_STEPS:
         # the margin is at most ACTIVE_MARGIN: only a charge that near is held
         n_active = 0
         if ((x <= lo_near) | (x >= hi_near)).any():
-            margin = min(ACTIVE_MARGIN, float(np.abs(x - np.clip(x - g, lo, hi)).max()))
+            projected = np.minimum(np.maximum(x - g, lo), hi)
+            margin = min(ACTIVE_MARGIN, float(np.abs(x - projected).max()))
             active = ((x <= lo + margin) & (g > 0.0)) | ((x >= hi - margin) & (g < 0.0))
             n_active = int(np.count_nonzero(active))
         if n_active:
@@ -259,24 +274,25 @@ def solve_equilibrium(
         converged = not n_active and decrement <= DECREMENT_TOL * (1.0 + abs(e0))
         for backtracks in range(MAX_BACKTRACKS + 1):
             t = 0.5**backtracks
-            cand = np.clip(x + t * d, lo, hi)
-            e1 = energy(sys, cand)
+            # t * d is d at t = 1
+            cand = np.minimum(np.maximum(x + t * d if backtracks else x + d, lo), hi)
+            e1, gaps = _energy_and_gaps(sys, cand)
             accepted = e1 <= e0 - ARMIJO * t * decrement or (
                 converged and e1 < math.inf
             )
             if accepted:
                 break
-        trace.append(NewtonStep(e0, float(np.max(np.abs(g))), decrement, t,
+        trace.append(NewtonStep(e0, float(np.abs(g).max()), decrement, t,
                                 backtracks, n_active))
         if not accepted:
             converged = False
             break
         x, e0 = cand, e1
-        g, h = _derivatives(sys, x)
+        g, h = _derivatives(sys, gaps)
     return EquilibriumResult(
         x_star=x,
         energy=e0,
-        grad_inf_norm=float(np.max(np.abs(g))),
+        grad_inf_norm=float(np.abs(g).max()),
         hessian_pd=is_positive_definite(h),
         diag_dominant=is_diag_dominant(h),
         iterations=len(trace),

@@ -10,7 +10,8 @@ times 2^n, and gram_matrix() the Chebyshev coefficients of each p_m
 scaled_derivatives() carries its derivative rows as Taylor coefficients in
 2x, so a step is three array operations; both it and gram_matrix() skip
 the product by 4 gamma_m where that is exactly 1.0, which it is on all but
-at most two slots of every block.
+at most two slots of every block; where 4 gamma_{m-1} is an integer too,
+gram_matrix() takes its exact mixed-moment step by sums alone.
 Orthogonality is read off the upper triangle of one Gram matrix G = C M C^T,
 where M holds the weight's Chebyshev modified moments: exact rationals, from
 which the mixed moments C M are carried exactly as integers through the
@@ -190,8 +191,11 @@ def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
     Approximation, 2004, 2.1.7), with row m valid up to a = 2n - m.  S is
     carried exactly, as integer rows over one common denominator, and
     rounded once, so its entries a < m are the exact zeros of
-    orthogonality.  G[i, j], i <= j, sums C[i, a] S[j, a] over a <= i only,
-    so only the entries a <= m of row m are rounded.
+    orthogonality.  A step leaves out its products by 1: where 4 gamma_m is
+    1 and 4 gamma_{m-1} an integer, as on all but at most three slots of
+    every block, it is sums alone.  G[i, j], i <= j, sums
+    C[i, a] S[j, a] over a <= i only, so only the entries a <= m of row m
+    are rounded.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -218,8 +222,15 @@ def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
         pq = p * q_prev
         # T_{|a-1|} is T_1 at a = 0
         down = [cur[1]] + cur
-        prev, cur, q_prev = cur, [q * (u + v) - pq * w for u, v, w
-                                  in zip(cur[1:], down, prev)], q
+        # a product by 1 is left out: q is 1 where 4 gamma_m is an integer,
+        # and pq too where 4 gamma_m is 1 and 4 gamma_{m-1} an integer
+        if q != 1:
+            nxt = [q * (u + v) - pq * w for u, v, w in zip(cur[1:], down, prev)]
+        elif pq != 1:
+            nxt = [u + v - pq * w for u, v, w in zip(cur[1:], down, prev)]
+        else:
+            nxt = [u + v - w for u, v, w in zip(cur[1:], down, prev)]
+        prev, cur, q_prev = cur, nxt, q
         scale *= q
         s[m + 1, :m + 2] = [v / scale for v in cur[:m + 2]]
     return np.triu(c @ s.T)

@@ -2,8 +2,8 @@
 
 The package evaluates nothing on monomial coefficients in floating point;
 tests that compare against numpy's polyval build the coefficients here.
-The plain loops of the recurrence evaluator and of the Gram matrix's
-Chebyshev rows are kept here too, as the references the package's
+The plain loops of the recurrence evaluator, of the Gram matrix's rows and
+of the Newton solver are kept here too, as the references the package's
 optimised loops must match bit for bit, and so are the charge model's
 energy, gradient and Hessian written term by term: the pairs, the endpoint
 charges as one term in x^2 - 1 and the interior charges.  The orthogonality
@@ -15,6 +15,21 @@ from fractions import Fraction
 
 import numpy as np
 
+from sievedops.electrostatics import (
+    ACTIVE_MARGIN,
+    ARMIJO,
+    DECREMENT_TOL,
+    MAX_BACKTRACKS,
+    MAX_NEWTON_STEPS,
+    EquilibriumResult,
+    InfeasibleError,
+    NewtonStep,
+    _inner_bounds,
+    default_init,
+    is_diag_dominant,
+    is_feasible,
+    is_positive_definite,
+)
 from sievedops.numerics import (
     _require_positive_definite,
     chebyshev_moments,
@@ -62,8 +77,9 @@ def scaled_derivatives_reference(fam, n: int, x) -> np.ndarray:
 
 def gram_matrix_reference(fam, n: int) -> np.ndarray:
     """numerics.gram_matrix with every Chebyshev row C[m + 1] formed as
-    2x C[m] - float(4 gamma_m) C[m - 1], the product taken also where
-    4 gamma_m is 1; the mixed moments S are carried exactly as there."""
+    2x C[m] - float(4 gamma_m) C[m - 1] and every exact mixed-moment row as
+    q (S[m, a+1] + S[m, |a-1|]) - p q' S[m-1, a], both products taken also
+    where 4 gamma_m = p / q is 1."""
     mu = chebyshev_moments(fam, 2 * n)
     scale = math.lcm(*(v.denominator for v in mu))
     cur = [v.numerator * (scale // v.denominator) for v in mu]
@@ -122,6 +138,87 @@ def derivatives_reference(sys, x) -> tuple:
     diag += 2.0 * sys.q_tilde * inv_c.sum(axis=1)
     np.fill_diagonal(h, diag)
     return g, h
+
+
+def _solver_energy(sys, x) -> float:
+    """electrostatics.energy on its own gap matrix, +inf off the feasible set."""
+    if not is_feasible(sys, x):
+        return math.inf
+    d = np.subtract.outer(x, np.concatenate((x, sys.fixed_charges[0])))
+    np.fill_diagonal(d, 1.0)
+    logs = np.log(np.abs(d, out=d), out=d)
+    return -float(logs.sum(axis=0) @ sys.column_weights[0])
+
+
+def _solver_derivatives(sys, x) -> tuple:
+    """Gradient and Hessian from a second gap matrix, inf on its diagonal."""
+    d = np.subtract.outer(x, np.concatenate((x, sys.fixed_charges[0])))
+    np.fill_diagonal(d, np.inf)
+    inv = 1.0 / d
+    field = sys.column_weights[1]
+    g = -(inv @ field)
+    inv *= inv
+    h = -2.0 * inv[:, :sys.n]
+    np.fill_diagonal(h, inv @ field)
+    return g, h
+
+
+def solve_equilibrium_reference(sys, init=None):
+    """electrostatics.solve_equilibrium as a plain loop: each trial point's
+    energy builds one gap matrix and the accepted point's gradient and
+    Hessian another; the package must match its iterates, trace and flags
+    bit for bit."""
+    x = default_init(sys) if init is None else np.asarray(init, dtype=float).copy()
+    e0 = _solver_energy(sys, x)
+    if e0 == math.inf:
+        raise InfeasibleError("initial configuration infeasible")
+    lo, hi = _inner_bounds(sys)
+    lo_near, hi_near = lo + ACTIVE_MARGIN, hi - ACTIVE_MARGIN
+    g, h = _solver_derivatives(sys, x)
+    trace = []
+    converged = False
+    while not converged and len(trace) < MAX_NEWTON_STEPS:
+        n_active = 0
+        if ((x <= lo_near) | (x >= hi_near)).any():
+            margin = min(ACTIVE_MARGIN, float(np.abs(x - np.clip(x - g, lo, hi)).max()))
+            active = ((x <= lo + margin) & (g > 0.0)) | ((x >= hi - margin) & (g < 0.0))
+            n_active = int(np.count_nonzero(active))
+        if n_active:
+            free = ~active
+            d = np.zeros_like(x)
+            d[free] = np.linalg.solve(h[np.ix_(free, free)], -g[free])
+        else:
+            d = np.linalg.solve(h, -g)
+        decrement = -float(g @ d)
+        if not decrement >= 0.0:
+            break
+        converged = not n_active and decrement <= DECREMENT_TOL * (1.0 + abs(e0))
+        for backtracks in range(MAX_BACKTRACKS + 1):
+            t = 0.5**backtracks
+            cand = np.clip(x + t * d, lo, hi)
+            e1 = _solver_energy(sys, cand)
+            accepted = e1 <= e0 - ARMIJO * t * decrement or (
+                converged and e1 < math.inf
+            )
+            if accepted:
+                break
+        trace.append(NewtonStep(e0, float(np.max(np.abs(g))), decrement, t,
+                                backtracks, n_active))
+        if not accepted:
+            converged = False
+            break
+        x, e0 = cand, e1
+        g, h = _solver_derivatives(sys, x)
+    return EquilibriumResult(
+        x_star=x,
+        energy=e0,
+        grad_inf_norm=float(np.max(np.abs(g))),
+        hessian_pd=is_positive_definite(h),
+        diag_dominant=is_diag_dominant(h),
+        iterations=len(trace),
+        converged=converged,
+        trace=tuple(trace),
+    )
 
 
 def chebyshev_u_float(k: int, x: float) -> float:

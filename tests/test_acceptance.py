@@ -5,12 +5,10 @@ doubles as the acceptance report.  Tolerances and runtime budgets are part
 of the assertions.
 """
 
-import math
 import time
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from sievedops import electrostatics as es
 from sievedops import numerics as nm
@@ -20,10 +18,8 @@ from sievedops.cli import figure_polys
 from sievedops.recurrence import (
     SievedFamily,
     SievedKind,
-    classical_sieved,
     mapping_residual,
     pi_k_from_determinants,
-    sieved_monic,
 )
 from sievedops.chebyshev import t_hat
 

@@ -1,12 +1,16 @@
 """Energy, gradient, Hessian, Newton solver, and the equilibrium theorem."""
 
 import math
-import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from float_oracle import derivatives_reference, energy_reference, float_coeffs
+from float_oracle import (
+    derivatives_reference,
+    energy_reference,
+    float_coeffs,
+    solve_equilibrium_reference,
+)
 from numpy.polynomial.polynomial import polyval
 
 from sievedops.electrostatics import (
@@ -167,16 +171,18 @@ def test_solver_q_quarter_case():
 def test_solver_evaluates_energy_once_per_candidate(monkeypatch):
     # one energy for the start, then one per trial step: the first trial of
     # each iteration and one more per backtrack; the accepted candidate's
-    # energy is carried, not evaluated again
+    # energy is carried, not evaluated again.  The solver reads each energy
+    # with its gaps from _energy_and_gaps, so that is what is counted
     import sievedops.electrostatics as es
 
     calls = []
+    energy_and_gaps = es._energy_and_gaps
 
     def counted(sys_, x):
         calls.append(1)
-        return energy(sys_, x)
+        return energy_and_gaps(sys_, x)
 
-    monkeypatch.setattr(es, "energy", counted)
+    monkeypatch.setattr(es, "_energy_and_gaps", counted)
     # the second system backtracks once, on its first step
     for sys_ in (SYS, ChargeSystem(k=5, l=12, q=0.25)):
         calls.clear()
@@ -190,7 +196,8 @@ def test_solver_evaluates_energy_once_per_candidate(monkeypatch):
 
 def test_solver_checks_feasibility_once_per_energy(monkeypatch):
     # the start point is checked through its energy alone, so every
-    # feasibility check is the one inside an energy evaluation
+    # feasibility check is the one inside an energy evaluation, which the
+    # solver makes through _energy_and_gaps
     import sievedops.electrostatics as es
 
     checks, energies = [], []
@@ -202,7 +209,7 @@ def test_solver_checks_feasibility_once_per_energy(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(es, "is_feasible", counted(is_feasible, checks))
-    monkeypatch.setattr(es, "energy", counted(energy, energies))
+    monkeypatch.setattr(es, "_energy_and_gaps", counted(es._energy_and_gaps, energies))
     for sys_ in (SYS, ChargeSystem(k=5, l=12, q=0.25)):
         checks.clear()
         energies.clear()
@@ -390,6 +397,28 @@ def test_solver_iterations_float_model_cells(q, k, l):
     assert solve_equilibrium(ChargeSystem(k=k, l=l, q=q)).iterations == expect
 
 
+# the cells of verify-electrostatics
+VERIFY_CELLS = [
+    (q, k, l) for q in (0.25, 0.5, 0.75, 1.0, 1.5) for k in (3, 4, 5) for l in (1, 2, 3)
+]
+
+
+def result_bits(res) -> tuple:
+    """Every field of a solver result, the floats as their bytes."""
+    return (res.x_star.tobytes(), np.array([res.energy, res.grad_inf_norm]).tobytes(),
+            np.array(res.trace, dtype=float).tobytes(), res.hessian_pd,
+            res.diag_dominant, res.iterations, res.converged)
+
+
+@pytest.mark.parametrize("q,k,l", FLOAT_MODEL_CELLS + VERIFY_CELLS + [(1.0, 10, 60)])
+def test_solver_matches_reference_loop_bit_for_bit(q, k, l):
+    # the solver shares each trial point's gaps between its energy and the
+    # next step's derivatives; iterates, trace and flags are the plain loop's
+    sys_ = ChargeSystem(k=k, l=l, q=q)
+    assert result_bits(solve_equilibrium(sys_)) == result_bits(
+        solve_equilibrium_reference(sys_))
+
+
 @pytest.mark.parametrize("q,k,l", FLOAT_MODEL_CELLS)
 def test_energy_and_derivatives_match_term_by_term_oracle(q, k, l):
     import sievedops.electrostatics as es
@@ -400,7 +429,7 @@ def test_energy_and_derivatives_match_term_by_term_oracle(q, k, l):
         e_ref = energy_reference(sys_, x)
         assert abs(energy(sys_, x) - e_ref) <= 1e-10 * abs(e_ref)
         g_ref, h_ref = derivatives_reference(sys_, x)
-        g, h = es._derivatives(sys_, x)
+        g, h = es._derivatives(sys_, es._gaps(sys_, x, 1.0))
         assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
         assert np.max(np.abs(h - h_ref)) <= 1e-10 * np.max(np.abs(h_ref))
         # check (a) builds the gradient alone, with the solver's arithmetic

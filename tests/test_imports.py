@@ -1,4 +1,4 @@
-"""Import hygiene: every name a package module imports is used there.
+"""Import hygiene: every name a package or test module imports is used there.
 
 A helper that moves out of a module can leave its import behind; this
 catches it from the source alone, with the standard library's ast.  Names
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sievedops"
-MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "sievedops"
+# no test module shares a name with a package module, so the names are the ids
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -246,10 +246,12 @@ def test_gram_matrix_accurate_at_high_degree(kind, lam, k, n):
 
 @pytest.mark.parametrize("kind,lam,k", [
     (FIRST, F(0), 3), (SECOND, F(1, 2), 4), (FIRST, F(-1, 4), 5),
-    (SECOND, F(7, 3), 6), (FIRST, F(1), 4),
+    (SECOND, F(7, 3), 6), (FIRST, F(1), 4), (SECOND, F(0), 5),
 ])
 def test_gram_matrix_matches_reference_rows(kind, lam, k, monkeypatch):
-    # the Chebyshev rows skip the product by a unit 4 gamma_m; bit for bit.
+    # the Chebyshev rows skip the product by a unit 4 gamma_m, and the exact
+    # mixed-moment rows their products by 1 (every step past the first at
+    # lam = 0, second kind); bit for bit.
     # For an orthogonal family G reads only the leading entry of each row
     # of C, so the moments are also perturbed, which makes every entry count
     fam = SievedFamily(kind, lam, k)
@@ -261,7 +263,7 @@ def test_gram_matrix_matches_reference_rows(kind, lam, k, monkeypatch):
     for moments in (exact, perturbed):
         monkeypatch.setattr(numerics, "chebyshev_moments", moments)
         monkeypatch.setattr(float_oracle, "chebyshev_moments", moments)
-        for n in (0, 1, 5, 30, 120):
+        for n in (0, 1, 2, 5, 17, 30, 61, 120, 400):
             assert gram_matrix(fam, n).tobytes() == gram_matrix_reference(fam, n).tobytes()
     assert np.triu(gram_matrix(fam, 5), 1).any()
 
