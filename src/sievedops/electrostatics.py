@@ -131,7 +131,9 @@ def is_feasible(sys: ChargeSystem, x: np.ndarray) -> bool:
     if x.shape != (sys.n,):
         return False
     lo, hi = sys.charge_bounds
-    return bool(((lo < x) & (x < hi)).all() and (x[1:] > x[:-1]).all())
+    # np.logical_and.reduce is ndarray.all() without its Python-level wrapper
+    every = np.logical_and.reduce
+    return bool(every((lo < x) & (x < hi)) and every(x[1:] > x[:-1]))
 
 
 def _gaps(sys: ChargeSystem, x: np.ndarray, diagonal: float) -> np.ndarray:

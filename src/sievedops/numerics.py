@@ -8,7 +8,8 @@ the Jacobi matrix, scaled_derivatives() the values of p_n, p_n' and p_n''
 times 2^n, and gram_matrix() the Chebyshev coefficients of each p_m
 (Gautschi, Orthogonal Polynomials: Computation and Approximation, 2004).
 scaled_derivatives() carries its derivative rows as Taylor coefficients in
-2x, so a step is three array operations; both it and gram_matrix() skip
+2x, so a step is three array operations, every operand of the rows' shape
+(2x is tiled across the rows once); both it and gram_matrix() skip
 the product by 4 gamma_m where that is exactly 1.0, which it is on all but
 at most two slots of every block; where 4 gamma_{m-1} is an integer too,
 gram_matrix() takes its exact mixed-moment step by sums alone.
@@ -102,22 +103,28 @@ def scaled_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
     The rows are carried as Taylor coefficients in y = 2x, (r, r'/2, r''/8)
     for r = 2^m p_m, so each derivative row takes the row above it with
     weight 1: s_{m+1} = y s_m - 4 gamma_m s_{m-1} + (row above at m).
-    Rows 1 and 2 are scaled by 2 and 8 once, at the end; a power of two
-    scales exactly, so every step rounds as it would on (r, r', r'') while
-    no value is subnormal or past the binary64 range.  Past that range
-    (|x| > 1 at high degree) the carried rows overflow a step later than
-    r' and r'' would, so where plain (r, r', r'') rows give NaN an entry
-    can read +-inf, and where they overflowed on the way, its finite value.
+    y is tiled across the three rows once, so every operand of a step has
+    the rows' shape.  Rows 1 and 2 are scaled in place by 2 and 8 once, at
+    the end; a power of two scales exactly, so every step rounds as it
+    would on (r, r', r'') while no value is subnormal or past the binary64
+    range.  Past that range (|x| > 1 at high degree) the carried rows
+    overflow a step later than r' and r'' would, so where plain
+    (r, r', r'') rows give NaN an entry can read +-inf, and where they
+    overflowed on the way, its finite value.
     Where 4 gamma_m is exactly 1.0, as on all but at most two slots of
     every block, the product is skipped: it would be exact.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    x2 = 2.0 * np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     g4 = (4.0 * float_gammas(fam, n)).tolist()
+    # 2x is tiled across the three rows once, so every operand of a step has
+    # the rows' shape: a ufunc on operands of one shape dispatches in about
+    # half the time of one that broadcasts x against the rows
+    x2 = np.empty((3,) + x.shape)
+    np.multiply(x, 2.0, x2)
     # three state buffers rotate, each with its views of rows 0..1 and 1..2
-    bufs = [np.zeros((3,) + x2.shape) for _ in range(3)]
-    prev, cur, nxt = ((b, b[:-1], b[1:]) for b in bufs)
+    prev, cur, nxt = ((b, b[:-1], b[1:]) for b in np.zeros((3, 3) + x.shape))
     cur[0][0] = 1.0
     # each ufunc writes into its third argument, the out buffer; passed by
     # position it dispatches faster than as out=
@@ -130,22 +137,25 @@ def scaled_derivatives(fam: SievedFamily, n: int, x) -> np.ndarray:
         np.add(nxt[2], cur[1], nxt[2])
         prev, cur, nxt = cur, nxt, prev
     out = cur[0]
-    out *= np.array([1.0, 2.0, 8.0]).reshape((3,) + (1,) * x2.ndim)
+    out[1] *= 2.0
+    out[2] *= 8.0
     return out
 
 
 def zero_residuals(z: ZeroSet) -> np.ndarray:
-    """|p_n(x)| / (|p_n'(x)| * local spacing) at each computed zero."""
+    """|p_n(x)| / (|p_n'(x)| * local spacing) at each computed zero.
+
+    The spacing of a zero is the smaller of its two gaps, an end zero's its
+    one gap, and 1.0 for the lone zero of degree 1.
+    """
     p, dp, _ = scaled_derivatives(z.family, z.n, z.values)
     vals = z.values
-    spacing = np.empty_like(vals)
-    if len(vals) > 1:
-        gaps = np.diff(vals)
-        spacing[:-1] = gaps
-        spacing[-1] = gaps[-1]
-        spacing[1:] = np.minimum(spacing[1:], gaps)
-    else:
-        spacing[:] = 1.0
+    # the gaps, padded at each end by inf, which the minimum never takes,
+    # or by 1.0 for a lone zero
+    gaps = np.empty(len(vals) + 1)
+    gaps[0] = gaps[-1] = math.inf if len(vals) > 1 else 1.0
+    np.subtract(vals[1:], vals[:-1], gaps[1:-1])
+    spacing = np.minimum(gaps[:-1], gaps[1:])
     return np.abs(p) / (np.abs(dp) * spacing)
 
 

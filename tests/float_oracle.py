@@ -2,9 +2,10 @@
 
 The package evaluates nothing on monomial coefficients in floating point;
 tests that compare against numpy's polyval build the coefficients here.
-The plain loops of the recurrence evaluator, of the Gram matrix's rows and
-of the Newton solver are kept here too, as the references the package's
-optimised loops must match bit for bit, and so are the charge model's
+The plain loops of the recurrence evaluator and its zero residuals, of the
+Gram matrix's rows and of the Newton solver are kept here too, as the
+references the package's optimised loops must match bit for bit, and so
+are the charge model's
 energy, gradient and Hessian written term by term: the pairs, the endpoint
 charges as one term in x^2 - 1 and the interior charges.  The orthogonality
 weight is written out as a float density, for checking the exact moments.
@@ -73,6 +74,24 @@ def scaled_derivatives_reference(fam, n: int, x) -> np.ndarray:
         nxt[1:] += lift * cur[:-1]
         prev, cur = cur, nxt
     return cur
+
+
+def zero_residuals_reference(z) -> np.ndarray:
+    """numerics.zero_residuals on scaled_derivatives_reference, each zero's
+    spacing the smaller of the gaps np.diff gives on either side of it, an
+    end zero's its one gap, and 1.0 at n = 1; the package must match it bit
+    for bit."""
+    p, dp, _ = scaled_derivatives_reference(z.family, z.n, z.values)
+    vals = z.values
+    spacing = np.empty_like(vals)
+    if len(vals) > 1:
+        gaps = np.diff(vals)
+        spacing[:-1] = gaps
+        spacing[-1] = gaps[-1]
+        spacing[1:] = np.minimum(spacing[1:], gaps)
+    else:
+        spacing[:] = 1.0
+    return np.abs(p) / (np.abs(dp) * spacing)
 
 
 def gram_matrix_reference(fam, n: int) -> np.ndarray:

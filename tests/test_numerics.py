@@ -14,6 +14,7 @@ from float_oracle import (
     gram_matrix_reference,
     scaled_derivatives_reference,
     weight,
+    zero_residuals_reference,
 )
 from numpy.polynomial.polynomial import polyval
 
@@ -21,6 +22,7 @@ from sievedops import numerics
 from sievedops.numerics import (
     DegenerateConfigurationError,
     UnsupportedRangeError,
+    ZeroSet,
     chebyshev_moments,
     float_gammas,
     gram_matrix,
@@ -94,9 +96,10 @@ def test_sieved_derivatives_match_exact(kind, lam):
                 assert np.max(np.abs(row - exact)) <= 1e-12 * scale, (k, n)
 
 
-# scalar, 1-D and 2-D x; at high degree the 3 x 4 grid in [-3, 3] overflows
-REFERENCE_XS = [0.3, 1.0, -1.0, np.linspace(-1.0, 1.0, 9),
-                np.linspace(-3.0, 3.0, 12).reshape(3, 4)]
+# scalar, 0-d, empty, 1-D and 2-D x (an empty x gives rows of shape (3, 0)
+# or (3, 0, 3)); at high degree the 3 x 4 grid in [-3, 3] overflows
+REFERENCE_XS = [0.3, 1.0, -1.0, np.array(0.3), np.array([]), np.zeros((0, 3)),
+                np.linspace(-1.0, 1.0, 9), np.linspace(-3.0, 3.0, 12).reshape(3, 4)]
 
 
 @pytest.mark.parametrize("kind", [FIRST, SECOND])
@@ -143,6 +146,20 @@ def test_scaled_derivatives_match_reference_loop_high_degree(kind, lam, k):
     x = zeros(fam, 2000).values
     got = scaled_derivatives(fam, 2000, x)
     assert got.tobytes() == scaled_derivatives_reference(fam, 2000, x).tobytes()
+
+
+@pytest.mark.parametrize("kind", [FIRST, SECOND])
+def test_zero_residuals_match_reference(kind):
+    # bit for bit at the computed zeros; n = 2 has only end zeros.  The
+    # lone zero of n = 1 is 0.0, where p_1 = x vanishes whatever its
+    # spacing, so the spacing 1.0 is pinned at a point off it:
+    # |p_1| / |p_1'| = 0.25 there
+    fam = SievedFamily(kind, F(3, 2), 5)
+    lone = ZeroSet(np.array([0.25]), fam, 1)
+    for z in [zeros(fam, n) for n in [1, 2, 3, *range(4, 41), 2000]] + [lone]:
+        got = zero_residuals(z)
+        assert got.tobytes() == zero_residuals_reference(z).tobytes(), z.n
+    assert zero_residuals(lone)[0] == 0.25
 
 
 def test_zeros_range_errors():
