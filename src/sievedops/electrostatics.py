@@ -6,6 +6,9 @@ subinterval.  The energy, its gradient and its Hessian are all read off one
 matrix of gaps from each movable charge to every charge, movable or fixed;
 the solver builds that matrix once per trial point, and the energy of an
 accepted point and the gradient and Hessian of its next step share it.
+A trial point moves each charge at most halfway to its block bound, so a
+Newton step that overshoots a fence halves the charge's distance to it
+instead of pinning the charge there.
 The energy minimum is the zero set of the first-kind sieved polynomial with
 lam = 2q - 1/2, which verify_theorem checks end to end.
 """
@@ -73,7 +76,7 @@ class ChargeSystem:
     def q_tilde(self) -> float:
         return 2.0 * self.q - 0.5
 
-    @property
+    @cached_property
     def lam(self) -> Fraction:
         return 2 * Fraction(self.q).limit_denominator(10**12) - Fraction(1, 2)
 
@@ -237,11 +240,15 @@ def solve_equilibrium(
     P clips to the block bounds pulled two ulps inside.  Each iteration holds
     fixed every charge within eps = min(1e-6, |x - P(x - g)|_inf) of its
     bound whose gradient points out of the block, solves H d = -g on the
-    other charges, and backtracks t from 1 along the projected arc
-    x(t) = P(x + t d) until E(x(t)) <= E - 1e-4 t (-g.d).  `energy` is +inf
-    off the ordered, blocked set, so it also rejects trials that break the
-    ordering.  Each trial point's gaps are built once: the line search reads
-    its energy off them, and an accepted point its gradient and Hessian.
+    other charges, and backtracks t from 1 along the arc x(t) = P_x(x + t d)
+    until E(x(t)) <= E - 1e-4 t (-g.d).  P_x clips each charge to
+    [(x + lo) / 2, (x + hi) / 2], lo and hi its bounds pulled inside, so a
+    step goes at most halfway to a fence, never onto it (a
+    fraction-to-the-boundary rule: Nocedal and Wright, Numerical
+    Optimization, 2006, 19.2).  `energy` is +inf off the ordered, blocked
+    set, so it also rejects trials that break the ordering.  Each trial
+    point's gaps are built once: the line search reads its energy off them,
+    and an accepted point its gradient and Hessian.
     The solve has converged once no charge is held and the Newton
     decrement -g.d is at most 1e-15 (1 + |E|) (Boyd and Vandenberghe,
     Convex Optimization, 9.5): that step is below what comparing energies
@@ -274,10 +281,13 @@ def solve_equilibrium(
         if not decrement >= 0.0:
             break  # not a descent direction: H is indefinite, as q < 1/4 allows
         converged = not n_active and decrement <= DECREMENT_TOL * (1.0 + abs(e0))
+        # a trial point moves each charge at most halfway to its bound
+        floor, ceiling = (x + lo) / 2, (x + hi) / 2
         for backtracks in range(MAX_BACKTRACKS + 1):
             t = 0.5**backtracks
             # t * d is d at t = 1
-            cand = np.minimum(np.maximum(x + t * d if backtracks else x + d, lo), hi)
+            cand = np.minimum(np.maximum(x + t * d if backtracks else x + d, floor),
+                              ceiling)
             e1, gaps = _energy_and_gaps(sys, cand)
             accepted = e1 <= e0 - ARMIJO * t * decrement or (
                 converged and e1 < math.inf

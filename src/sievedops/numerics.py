@@ -5,8 +5,9 @@ p_{m+1} = x p_m - gamma_m p_{m-1}, never on monomial coefficients, which
 cancel catastrophically from degree about 20.  Each family keeps one
 append-only table of gamma_m rounded to binary64, from which zeros() builds
 the Jacobi matrix, scaled_derivatives() the values of p_n, p_n' and p_n''
-times 2^n, and gram_matrix() the Chebyshev coefficients of each p_m
-(Gautschi, Orthogonal Polynomials: Computation and Approximation, 2004).
+times 2^n, and gram_matrix(), where it needs them, the Chebyshev
+coefficients of each p_m (Gautschi, Orthogonal Polynomials: Computation
+and Approximation, 2004).
 scaled_derivatives() carries its derivative rows as Taylor coefficients in
 2x, so a step is three array operations, every operand of the rows' shape
 (2x is tiled across the rows once); both it and gram_matrix() skip
@@ -18,6 +19,10 @@ where M holds the weight's Chebyshev modified moments: exact rationals, from
 which the mixed moments C M are carried exactly as integers through the
 modified Chebyshev algorithm and rounded once.  No quadrature rule is
 involved, and for an orthogonal family every off-diagonal entry is 0.0.
+The exact rows decide whether C is needed at all: where every mixed moment
+below the diagonal is 0, G is the diagonal of C M C^T, read off the exact
+rows alone, and the float rows of C and the product are built only where
+some exact row is nonzero below its diagonal.
 
 Everything here assumes the positive-definite range lam > -1/2, where the
 flattened recurrence coefficients are positive and the zeros are the
@@ -186,16 +191,36 @@ def chebyshev_moments(fam: SievedFamily, top: int) -> list:
     return mu[:top + 1]
 
 
+def _chebyshev_rows(fam: SievedFamily, n: int) -> np.ndarray:
+    """C: row m holds the Chebyshev-T coefficients of r_m = 2^m p_m, m <= n.
+
+    r_{m+1} = 2x r_m - 4 gamma_m r_{m-1} with 2x T_0 = 2 T_1 and
+    2x T_d = T_{d+1} + T_{d-1}.  C is lower-triangular with diagonal
+    1, 2, 2, ...
+    """
+    g4 = (4.0 * float_gammas(fam, n)).tolist()
+    c = np.zeros((n + 1, n + 1))
+    c[0, 0] = 1.0
+    for m in range(n):
+        c[m + 1, 1:] = c[m, :-1]
+        c[m + 1, 1] += c[m, 0]
+        c[m + 1, :-1] += c[m, 1:]
+        if m:
+            # a unit 4 gamma_m, as on all but at most two slots of every
+            # block, would multiply exactly
+            c[m + 1] -= c[m - 1] if g4[m] == 1.0 else g4[m] * c[m - 1]
+    return c
+
+
 def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
     """G[i, j] = <r_i, r_j> / <1> for i <= j <= n, 0.0 below; r_m = 2^m p_m.
 
     The power of two keeps the leading Chebyshev coefficient of r_m at 2, so
     nothing underflows at high degree.  Row m of C holds the Chebyshev-T
-    coefficients of r_m, from r_{m+1} = 2x r_m - 4 gamma_m r_{m-1} with
-    2x T_0 = 2 T_1 and 2x T_d = T_{d+1} + T_{d-1}.  With
+    coefficients of r_m (_chebyshev_rows).  With
     M[a, b] = (mu_{a+b} + mu_{|a-b|}) / 2, G = C M C^T = C S^T for the mixed
-    moments S[m, a] = <r_m, T_a> / <1>.  Row 0 of S is mu; the same
-    recurrence, moved onto T_a, gives the modified Chebyshev algorithm
+    moments S[m, a] = <r_m, T_a> / <1>.  Row 0 of S is mu; the recurrence
+    of r_m, moved onto T_a, gives the modified Chebyshev algorithm
     <r_{m+1}, T_a> = <r_m, T_{a+1}> + <r_m, T_{|a-1|}> - 4 gamma_m
     <r_{m-1}, T_a> (Gautschi, Orthogonal Polynomials: Computation and
     Approximation, 2004, 2.1.7), with row m valid up to a = 2n - m.  S is
@@ -205,7 +230,12 @@ def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
     1 and 4 gamma_{m-1} an integer, as on all but at most three slots of
     every block, it is sums alone.  G[i, j], i <= j, sums
     C[i, a] S[j, a] over a <= i only, so only the entries a <= m of row m
-    are rounded.
+    are rounded, and of a row whose entries a < m are all exactly 0 only
+    S[m, m].  Where every row is so, as for every orthogonal family, G is
+    its diagonal 1 S[0, 0], 2 S[m, m]: C is lower-triangular with diagonal
+    1, 2, 2, ..., and every other product in C S^T is one with an exact
+    0.0.  That is C S^T bit for bit, and C is built only where some exact
+    row is nonzero below its diagonal.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
@@ -213,22 +243,14 @@ def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
     scale = math.lcm(*(v.denominator for v in mu))
     cur = [v.numerator * (scale // v.denominator) for v in mu]
     prev, q_prev = [0] * (2 * n), 1
-    c = np.zeros((n + 1, n + 1))
-    c[0, 0] = 1.0
     s = np.zeros((n + 1, n + 1))
     s[0, 0] = cur[0] / scale
+    clean = True
     for m in range(n):
-        c[m + 1, 1:] = c[m, :-1]
-        c[m + 1, 1] += c[m, 0]
-        c[m + 1, :-1] += c[m, 1:]
         # row m + 1 over scale * q, with 4 gamma_m = p / q and gamma_0 = 0
         g = gamma_flat(fam, m) if m else Fraction(0)
         d = math.gcd(4, g.denominator)
         p, q = 4 // d * g.numerator, g.denominator // d
-        if m:
-            # a unit 4 gamma_m, as on all but at most two slots of every
-            # block, would multiply exactly
-            c[m + 1] -= c[m - 1] if p == q else p / q * c[m - 1]
         pq = p * q_prev
         # T_{|a-1|} is T_1 at a = 0
         down = [cur[1]] + cur
@@ -242,8 +264,16 @@ def gram_matrix(fam: SievedFamily, n: int) -> np.ndarray:
             nxt = [u + v - w for u, v, w in zip(cur[1:], down, prev)]
         prev, cur, q_prev = cur, nxt, q
         scale *= q
-        s[m + 1, :m + 2] = [v / scale for v in cur[:m + 2]]
-    return np.triu(c @ s.T)
+        if any(cur[:m + 1]):
+            clean = False
+            s[m + 1, :m + 2] = [v / scale for v in cur[:m + 2]]
+        else:
+            s[m + 1, m + 1] = cur[m + 1] / scale
+    if clean:
+        # S is its diagonal, and so is G; its entries from (1, 1) on double
+        s.flat[n + 2::n + 2] *= 2.0
+        return s
+    return np.triu(_chebyshev_rows(fam, n) @ s.T)
 
 
 def orthogonality_defects(fam: SievedFamily, n: int) -> np.ndarray:

@@ -214,7 +214,7 @@ def solve_equilibrium_reference(sys, init=None):
         converged = not n_active and decrement <= DECREMENT_TOL * (1.0 + abs(e0))
         for backtracks in range(MAX_BACKTRACKS + 1):
             t = 0.5**backtracks
-            cand = np.clip(x + t * d, lo, hi)
+            cand = np.clip(x + t * d, (x + lo) / 2, (x + hi) / 2)
             e1 = _solver_energy(sys, cand)
             accepted = e1 <= e0 - ARMIJO * t * decrement or (
                 converged and e1 < math.inf

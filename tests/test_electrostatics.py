@@ -17,6 +17,7 @@ from sievedops.electrostatics import (
     ACTIVE_MARGIN,
     ChargeSystem,
     InfeasibleError,
+    _inner_bounds,
     default_init,
     energy,
     gradient,
@@ -69,6 +70,14 @@ def test_charge_system_validation():
     assert SYS.n == 10
     assert SYS.q_tilde == 1.5
     assert SYS.lam == F(3, 2)
+
+
+def squeezed_init(sys_):
+    """default_init with every block's charges squeezed into its first 5 %:
+    at q = 1/4 the inert interior charges let each block's charges push the
+    first of them towards the fence on its left."""
+    lo, _ = sys_.charge_bounds
+    return lo + 0.05 * (default_init(sys_) - lo)
 
 
 def test_feasibility_checks():
@@ -183,10 +192,11 @@ def test_solver_evaluates_energy_once_per_candidate(monkeypatch):
         return energy_and_gaps(sys_, x)
 
     monkeypatch.setattr(es, "_energy_and_gaps", counted)
-    # the second system backtracks once, on its first step
-    for sys_ in (SYS, ChargeSystem(k=5, l=12, q=0.25)):
+    # the second system backtracks 3 times from its squeezed start
+    sys_b = ChargeSystem(k=3, l=12, q=0.25)
+    for sys_, init in ((SYS, None), (sys_b, squeezed_init(sys_b))):
         calls.clear()
-        res = solve_equilibrium(sys_)
+        res = solve_equilibrium(sys_, init=init)
         assert res.converged and res.iterations > 1
         backtracks = sum(step.backtracks for step in res.trace)
         assert len(calls) == res.iterations + 1 + backtracks
@@ -223,16 +233,52 @@ def test_solver_checks_feasibility_once_per_energy(monkeypatch):
 
 
 def test_solver_trace():
+    # the first charge of block 1 starts within the margin of its fence and
+    # is pushed against it, so the active set holds it, then frees it; the
+    # squeezed blocks make the line search backtrack
     sys_ = ChargeSystem(k=3, l=12, q=0.25)
-    res = solve_equilibrium(sys_)
+    lo, _ = sys_.charge_bounds
+    init = squeezed_init(sys_)
+    init[12] = lo[12] + 0.9 * ACTIVE_MARGIN
+    res = solve_equilibrium(sys_, init=init)
     assert res.converged and len(res.trace) == res.iterations
     first, last = res.trace[0], res.trace[-1]
-    assert first.energy == energy(sys_, default_init(sys_))
-    # Newton pins charges at a block fence, and the active set frees them
-    assert max(step.active for step in res.trace) > 0
+    assert first.energy == energy(sys_, init)
+    assert first.active == 1 and max(step.backtracks for step in res.trace) > 0
     assert last.active == 0 and last.decrement <= 1e-15 * (1 + abs(last.energy))
     assert all(step.energy >= nxt.energy for step, nxt in zip(res.trace, res.trace[1:]))
     assert all(step.t == 0.5**step.backtracks for step in res.trace)
+
+
+@pytest.mark.parametrize("q,k,l", [(0.25, 3, 12), (0.25, 5, 12), (1.0, 5, 2)])
+def test_trial_points_stop_halfway_to_the_inner_bounds(q, k, l, monkeypatch):
+    # every trial point reads its energy through _energy_and_gaps, the start
+    # first; the trace says which trial each iteration accepted
+    import sievedops.electrostatics as es
+
+    points = []
+    energy_and_gaps = es._energy_and_gaps
+
+    def recorded(sys_, x):
+        points.append(x)
+        return energy_and_gaps(sys_, x)
+
+    monkeypatch.setattr(es, "_energy_and_gaps", recorded)
+    sys_ = ChargeSystem(k=k, l=l, q=q)
+    lo, hi = _inner_bounds(sys_)
+    res = solve_equilibrium(sys_, init=squeezed_init(sys_))
+    assert res.converged
+    x, i, capped = points[0], 1, 0
+    for step in res.trace:
+        for cand in points[i:i + step.backtracks + 1]:
+            floor, ceiling = (x + lo) / 2, (x + hi) / 2
+            assert np.all(cand >= floor) and np.all(cand <= ceiling)
+            capped += int(np.count_nonzero((cand == floor) | (cand == ceiling)))
+        i += step.backtracks + 1
+        x = points[i - 1]
+    assert i == len(points)
+    # the squeezed start makes Newton aim past the midpoint
+    assert capped > 0
 
 
 def test_active_set_holds_a_charge_only_within_the_margin():
@@ -383,9 +429,9 @@ def test_solver_from_perturbed_start_l12(q, k):
 
 
 # Newton iterations from the default start of the l = 12 float-model cells;
-# every l = 4 cell takes 7
+# every l = 4 cell takes 7, or 6 at q = 0.25
 FLOAT_MODEL_L12_ITERATIONS = {
-    (0.25, 3): 48, (0.25, 4): 8, (0.25, 5): 8,
+    (0.25, 3): 8, (0.25, 4): 8, (0.25, 5): 7,
     (0.75, 3): 9, (0.75, 4): 9, (0.75, 5): 9,
     (1.25, 3): 10, (1.25, 4): 10, (1.25, 5): 9,
 }
@@ -393,7 +439,7 @@ FLOAT_MODEL_L12_ITERATIONS = {
 
 @pytest.mark.parametrize("q,k,l", FLOAT_MODEL_CELLS)
 def test_solver_iterations_float_model_cells(q, k, l):
-    expect = 7 if l == 4 else FLOAT_MODEL_L12_ITERATIONS[(q, k)]
+    expect = (6 if q == 0.25 else 7) if l == 4 else FLOAT_MODEL_L12_ITERATIONS[(q, k)]
     assert solve_equilibrium(ChargeSystem(k=k, l=l, q=q)).iterations == expect
 
 

@@ -303,6 +303,36 @@ def test_planted_moment_error_caught(monkeypatch):
     assert max(defects[m, n] for m, n in pairs) >= 1e-9
 
 
+def test_gram_matrix_builds_chebyshev_rows_only_for_a_nonzero_exact_row(monkeypatch):
+    # mu_{2n-1} off by 2^-30 first reaches an entry below the diagonal in
+    # row n, at a = n - 1, so that row alone is nonzero and the full product
+    # C S^T runs; its one defect is that row's, and every other is exact
+    fam, n = SievedFamily(FIRST, F(3, 2), 5), 24
+    exact = numerics.chebyshev_moments
+    rows = numerics._chebyshev_rows
+    builds = []
+
+    def counted(family, top):
+        builds.append(top)
+        return rows(family, top)
+
+    def perturbed(family, top):
+        mu = exact(family, top)
+        mu[2 * n - 1] += F(1, 2**30)
+        return mu
+
+    monkeypatch.setattr(numerics, "_chebyshev_rows", counted)
+    assert not np.triu(orthogonality_defects(fam, n), 1).any()
+    assert builds == []
+    for module in (numerics, float_oracle):
+        monkeypatch.setattr(module, "chebyshev_moments", perturbed)
+    assert gram_matrix(fam, n).tobytes() == gram_matrix_reference(fam, n).tobytes()
+    assert builds == [n]
+    defects = np.triu(orthogonality_defects(fam, n), 1)
+    assert defects[:, n].max() >= 1e-9
+    assert not defects[:, :n].any()
+
+
 def test_orthogonality_singular_weight():
     # density |sin 4 theta|^{-1/2}, infinite at the arc ends, where a
     # quadrature rule in theta converged too slowly to pass a refinement
