@@ -3,7 +3,8 @@
 Each subcommand but emit-plot returns its own report fields and a verdict.
 main adds the one envelope (schema 1, the command, and kind, lambda and k
 for a family command) and writes the JSON report on stdout or --output.
-Exit codes: 0 all checks pass, 1 a check failed, 2 invalid flags or input.
+Exit codes: 0 all checks pass, 1 a check failed, 2 invalid flags or input,
+or a problem too large to fit in memory.
 No check draws random points, so identical flags give byte-identical output.
 The emit-plot CSV holds exact values rounded once to binary64.
 """
@@ -331,8 +332,9 @@ def main(argv=None) -> int:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
         _write(text + "\n", args.output)
         return 0 if ok else 1
-    except (ValueError, OSError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc)}), file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        error = str(exc) or type(exc).__name__
+        print(json.dumps({"schema": SCHEMA, "error": error}), file=sys.stderr)
         return 2
 
 

@@ -37,8 +37,6 @@ ARMIJO = 1e-4
 MAX_BACKTRACKS = 50
 # Newton iterations before the solve stops unconverged
 MAX_NEWTON_STEPS = 200
-# Bertsekas's epsilon: the widest margin at which a bound can hold a charge
-ACTIVE_MARGIN = 1e-6
 # a Newton decrement at most this times 1 + |E| has converged: rounding in
 # the sum of about n^2 logarithms hides energy changes that small
 DECREMENT_TOL = 1e-15
@@ -108,9 +106,8 @@ class NewtonStep(NamedTuple):
     energy: float
     grad_inf_norm: float
     decrement: float  # -g.d, the Newton decrement squared
-    t: float  # accepted step length along the projected arc
+    t: float  # accepted step length along the clipped arc
     backtracks: int  # halvings of t before the Armijo test held
-    active: int  # charges held at a block bound
 
 
 @dataclass(frozen=True)
@@ -139,12 +136,12 @@ def is_feasible(sys: ChargeSystem, x: np.ndarray) -> bool:
     return bool(every((lo < x) & (x < hi)) and every(x[1:] > x[:-1]))
 
 
-def _gaps(sys: ChargeSystem, x: np.ndarray, diagonal: float) -> np.ndarray:
+def _gaps(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
     """The n x (n + k + 1) gaps x_i - P_j, P the movable charges x and then
-    the fixed ones, with `diagonal` on the diagonal."""
+    the fixed ones, with 1.0 on the diagonal."""
     d = np.subtract.outer(x, np.concatenate((x, sys.fixed_charges[0])))
     # entry (i, i) of a row of n + k + 1 gaps
-    d.flat[::sys.n + sys.k + 2] = diagonal
+    d.flat[::sys.n + sys.k + 2] = 1.0
     return d
 
 
@@ -153,7 +150,7 @@ def _energy_and_gaps(sys: ChargeSystem, x: np.ndarray) -> tuple:
     (+inf, None) where x is infeasible."""
     if not is_feasible(sys, x):
         return math.inf, None
-    d = _gaps(sys, x, 1.0)
+    d = _gaps(sys, x)
     logs = np.abs(d)
     np.log(logs, logs)
     return -float(logs.sum(axis=0) @ sys.column_weights[0]), d
@@ -180,8 +177,7 @@ def _derivatives(sys: ChargeSystem, d: np.ndarray) -> tuple:
     """Gradient and Hessian of the energy from the gaps d of a feasible
     point, which they overwrite: the gradient and the Hessian's diagonal are
     weighted row sums of 1 / (x_i - P_j) and its square (0 on the diagonal),
-    and off it the Hessian is -2 / (x_i - x_j)^2.  1 / d with its diagonal
-    set to 0 is 1 / _gaps(sys, x, inf) bit for bit."""
+    and off it the Hessian is -2 / (x_i - x_j)^2."""
     inv = np.divide(1.0, d, d)
     inv.flat[::sys.n + sys.k + 2] = 0.0
     field = sys.column_weights[1]
@@ -194,12 +190,12 @@ def _derivatives(sys: ChargeSystem, d: np.ndarray) -> tuple:
 
 def gradient(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
     x = _feasible_array(sys, x)
-    return -((1.0 / _gaps(sys, x, np.inf)) @ sys.column_weights[1])
+    return _derivatives(sys, _gaps(sys, x))[0]
 
 
 def hessian(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
     x = _feasible_array(sys, x)
-    return _derivatives(sys, _gaps(sys, x, 1.0))[1]
+    return _derivatives(sys, _gaps(sys, x))[1]
 
 
 def is_diag_dominant(h: np.ndarray) -> bool:
@@ -234,53 +230,41 @@ def _inner_bounds(sys: ChargeSystem) -> tuple:
 def solve_equilibrium(
     sys: ChargeSystem, init: np.ndarray | None = None
 ) -> EquilibriumResult:
-    """Projected Newton method with an active set for the block bounds
-    (Bertsekas, SIAM J. Control Optim. 20, 1982).
+    """Newton's method kept inside the block bounds by a
+    fraction-to-the-boundary rule (Nocedal and Wright, Numerical
+    Optimization, 2006, 19.2).
 
-    P clips to the block bounds pulled two ulps inside.  Each iteration holds
-    fixed every charge within eps = min(1e-6, |x - P(x - g)|_inf) of its
-    bound whose gradient points out of the block, solves H d = -g on the
-    other charges, and backtracks t from 1 along the arc x(t) = P_x(x + t d)
-    until E(x(t)) <= E - 1e-4 t (-g.d).  P_x clips each charge to
-    [(x + lo) / 2, (x + hi) / 2], lo and hi its bounds pulled inside, so a
-    step goes at most halfway to a fence, never onto it (a
-    fraction-to-the-boundary rule: Nocedal and Wright, Numerical
-    Optimization, 2006, 19.2).  `energy` is +inf off the ordered, blocked
-    set, so it also rejects trials that break the ordering.  Each trial
-    point's gaps are built once: the line search reads its energy off them,
-    and an accepted point its gradient and Hessian.
-    The solve has converged once no charge is held and the Newton
-    decrement -g.d is at most 1e-15 (1 + |E|) (Boyd and Vandenberghe,
-    Convex Optimization, 9.5): that step is below what comparing energies
-    can resolve, so it is taken if feasible and the solve returns.
+    Each iteration solves H d = -g and backtracks t from 1 along the arc
+    x(t) = P_x(x + t d) until E(x(t)) <= E - 1e-4 t (-g.d).  P_x clips each
+    charge to [(x + lo) / 2, (x + hi) / 2], lo and hi its block bounds
+    pulled two ulps inside, so a step goes at most halfway to a fence, never
+    onto it.  `energy` is +inf off the ordered, blocked set, so it also
+    rejects trials that break the ordering.  Each trial point's gaps are
+    built once: the line search reads its energy off them, and an accepted
+    point its gradient and Hessian.
+    The solve has converged once the Newton decrement -g.d is at most
+    1e-15 (1 + |E|) (Boyd and Vandenberghe, Convex Optimization, 9.5): that
+    step is below what comparing energies can resolve, so it is taken if
+    feasible and the solve returns.  A singular H, or a d that does not
+    descend, stops the solve unconverged.
     """
     x = default_init(sys) if init is None else np.asarray(init, dtype=float).copy()
     e0, gaps = _energy_and_gaps(sys, x)
     if gaps is None:
         raise InfeasibleError("initial configuration infeasible")
     lo, hi = _inner_bounds(sys)
-    lo_near, hi_near = lo + ACTIVE_MARGIN, hi - ACTIVE_MARGIN
     g, h = _derivatives(sys, gaps)
     trace = []
     converged = False
     while not converged and len(trace) < MAX_NEWTON_STEPS:
-        # the margin is at most ACTIVE_MARGIN: only a charge that near is held
-        n_active = 0
-        if ((x <= lo_near) | (x >= hi_near)).any():
-            projected = np.minimum(np.maximum(x - g, lo), hi)
-            margin = min(ACTIVE_MARGIN, float(np.abs(x - projected).max()))
-            active = ((x <= lo + margin) & (g > 0.0)) | ((x >= hi - margin) & (g < 0.0))
-            n_active = int(np.count_nonzero(active))
-        if n_active:
-            free = ~active
-            d = np.zeros_like(x)
-            d[free] = np.linalg.solve(h[np.ix_(free, free)], -g[free])
-        else:
+        try:
             d = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            break  # H is singular, as two charges a rounding apart make it
         decrement = -float(g @ d)
         if not decrement >= 0.0:
             break  # not a descent direction: H is indefinite, as q < 1/4 allows
-        converged = not n_active and decrement <= DECREMENT_TOL * (1.0 + abs(e0))
+        converged = decrement <= DECREMENT_TOL * (1.0 + abs(e0))
         # a trial point moves each charge at most halfway to its bound
         floor, ceiling = (x + lo) / 2, (x + hi) / 2
         for backtracks in range(MAX_BACKTRACKS + 1):
@@ -294,8 +278,7 @@ def solve_equilibrium(
             )
             if accepted:
                 break
-        trace.append(NewtonStep(e0, float(np.abs(g).max()), decrement, t,
-                                backtracks, n_active))
+        trace.append(NewtonStep(e0, float(np.abs(g).max()), decrement, t, backtracks))
         if not accepted:
             converged = False
             break

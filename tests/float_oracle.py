@@ -17,7 +17,6 @@ from fractions import Fraction
 import numpy as np
 
 from sievedops.electrostatics import (
-    ACTIVE_MARGIN,
     ARMIJO,
     DECREMENT_TOL,
     MAX_BACKTRACKS,
@@ -192,26 +191,18 @@ def solve_equilibrium_reference(sys, init=None):
     if e0 == math.inf:
         raise InfeasibleError("initial configuration infeasible")
     lo, hi = _inner_bounds(sys)
-    lo_near, hi_near = lo + ACTIVE_MARGIN, hi - ACTIVE_MARGIN
     g, h = _solver_derivatives(sys, x)
     trace = []
     converged = False
     while not converged and len(trace) < MAX_NEWTON_STEPS:
-        n_active = 0
-        if ((x <= lo_near) | (x >= hi_near)).any():
-            margin = min(ACTIVE_MARGIN, float(np.abs(x - np.clip(x - g, lo, hi)).max()))
-            active = ((x <= lo + margin) & (g > 0.0)) | ((x >= hi - margin) & (g < 0.0))
-            n_active = int(np.count_nonzero(active))
-        if n_active:
-            free = ~active
-            d = np.zeros_like(x)
-            d[free] = np.linalg.solve(h[np.ix_(free, free)], -g[free])
-        else:
+        try:
             d = np.linalg.solve(h, -g)
+        except np.linalg.LinAlgError:
+            break
         decrement = -float(g @ d)
         if not decrement >= 0.0:
             break
-        converged = not n_active and decrement <= DECREMENT_TOL * (1.0 + abs(e0))
+        converged = decrement <= DECREMENT_TOL * (1.0 + abs(e0))
         for backtracks in range(MAX_BACKTRACKS + 1):
             t = 0.5**backtracks
             cand = np.clip(x + t * d, (x + lo) / 2, (x + hi) / 2)
@@ -222,7 +213,7 @@ def solve_equilibrium_reference(sys, init=None):
             if accepted:
                 break
         trace.append(NewtonStep(e0, float(np.max(np.abs(g))), decrement, t,
-                                backtracks, n_active))
+                                backtracks))
         if not accepted:
             converged = False
             break

@@ -256,6 +256,35 @@ def test_equilibrium_init_file_rejected(init, tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+def test_equilibrium_singular_hessian_exit_1(tmp_path, capsys):
+    # a feasible start whose Hessian is singular stops the solve unconverged:
+    # a failed check, not an input error
+    path = tmp_path / "init.json"
+    path.write_text("[-0.9073483442348216, -0.023761603693008948, "
+                    "0.7071067811865474, 0.7071067811865478]")
+    rc = main(["equilibrium", "--k", "4", "--l", "1", "--q", "0.25",
+               "--init-file", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert not out["converged"] and out["iterations"] == 0
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 648. TiB for an array", ""])
+def test_equilibrium_out_of_memory_exit_2(message, monkeypatch, capsys):
+    # a system too large for memory is reported, not a traceback; the
+    # allocation is simulated, never made
+    from sievedops import electrostatics
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(electrostatics, "solve_equilibrium", out_of_memory)
+    rc = main(["equilibrium", "--k", "3000", "--l", "3000", "--q", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert json.loads(captured.err) == {"schema": 1, "error": message or "MemoryError"}
+
+
 def test_equilibrium_has_no_tol_flag(capsys):
     rc = main(["equilibrium", "--k", "3", "--l", "1", "--q", "1.0",
                "--tol", "1e-11"])

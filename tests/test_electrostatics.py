@@ -14,7 +14,6 @@ from float_oracle import (
 from numpy.polynomial.polynomial import polyval
 
 from sievedops.electrostatics import (
-    ACTIVE_MARGIN,
     ChargeSystem,
     InfeasibleError,
     _inner_bounds,
@@ -233,19 +232,18 @@ def test_solver_checks_feasibility_once_per_energy(monkeypatch):
 
 
 def test_solver_trace():
-    # the first charge of block 1 starts within the margin of its fence and
-    # is pushed against it, so the active set holds it, then frees it; the
-    # squeezed blocks make the line search backtrack
+    # the first charge of block 1 starts 9e-7 from its fence; the squeezed
+    # blocks make the line search backtrack
     sys_ = ChargeSystem(k=3, l=12, q=0.25)
     lo, _ = sys_.charge_bounds
     init = squeezed_init(sys_)
-    init[12] = lo[12] + 0.9 * ACTIVE_MARGIN
+    init[12] = lo[12] + 9e-7
     res = solve_equilibrium(sys_, init=init)
     assert res.converged and len(res.trace) == res.iterations
     first, last = res.trace[0], res.trace[-1]
     assert first.energy == energy(sys_, init)
-    assert first.active == 1 and max(step.backtracks for step in res.trace) > 0
-    assert last.active == 0 and last.decrement <= 1e-15 * (1 + abs(last.energy))
+    assert max(step.backtracks for step in res.trace) > 0
+    assert last.decrement <= 1e-15 * (1 + abs(last.energy))
     assert all(step.energy >= nxt.energy for step, nxt in zip(res.trace, res.trace[1:]))
     assert all(step.t == 0.5**step.backtracks for step in res.trace)
 
@@ -281,18 +279,35 @@ def test_trial_points_stop_halfway_to_the_inner_bounds(q, k, l, monkeypatch):
     assert capped > 0
 
 
-def test_active_set_holds_a_charge_only_within_the_margin():
+def test_solver_converges_from_a_charge_pushed_against_its_fence():
     # block 1 is cleared from its left half, so the last charge of block 0,
-    # put near its upper bound, is pushed against it
+    # put near or on its inner upper bound, is pushed against it; the
+    # halfway clip alone keeps it inside
     sys_ = ChargeSystem(k=3, l=12, q=0.25)
-    _, hi = sys_.charge_bounds
-    for offset, held in ((0.9 * ACTIVE_MARGIN, 1), (1.1 * ACTIVE_MARGIN, 0)):
+    _, hi = _inner_bounds(sys_)
+    for offset in (9e-7, 1.1e-6, 1e-13, 0.0):
         x = default_init(sys_)
         x[12:24] = np.linspace(0.0, 0.45, 12)
         x[11] = hi[11] - offset
         assert gradient(sys_, x)[11] < 0.0
         res = solve_equilibrium(sys_, init=x)
-        assert res.converged and res.trace[0].active == held
+        assert res.converged and res.iterations == 9
+        assert np.max(np.abs(res.x_star - theorem_zero_set(sys_))) < 1e-10
+
+
+def test_singular_hessian_stops_the_solve_unconverged():
+    # two charges about 4e-16 apart across the uncharged fence cos(pi/4):
+    # their 2 x 2 block of H rounds to a singular matrix
+    sys_ = ChargeSystem(k=4, l=1, q=0.25)
+    init = np.array([-0.9073483442348216, -0.023761603693008948,
+                     0.7071067811865474, 0.7071067811865478])
+    assert is_feasible(sys_, init)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(hessian(sys_, init), gradient(sys_, init))
+    res = solve_equilibrium(sys_, init=init)
+    assert not res.converged and res.iterations == 0 and res.trace == ()
+    assert np.array_equal(res.x_star, init)
+    assert res.energy == energy(sys_, init)
 
 
 def test_charge_system_geometry_cached():
@@ -475,10 +490,9 @@ def test_energy_and_derivatives_match_term_by_term_oracle(q, k, l):
         e_ref = energy_reference(sys_, x)
         assert abs(energy(sys_, x) - e_ref) <= 1e-10 * abs(e_ref)
         g_ref, h_ref = derivatives_reference(sys_, x)
-        g, h = es._derivatives(sys_, es._gaps(sys_, x, 1.0))
+        g, h = es._derivatives(sys_, es._gaps(sys_, x))
         assert np.max(np.abs(g - g_ref)) <= 1e-10 * np.max(np.abs(g_ref))
         assert np.max(np.abs(h - h_ref)) <= 1e-10 * np.max(np.abs(h_ref))
-        # check (a) builds the gradient alone, with the solver's arithmetic
         assert np.array_equal(gradient(sys_, x), g)
         assert np.array_equal(hessian(sys_, x), h)
 
