@@ -85,17 +85,12 @@ def _residual_grid(fam, max_n, residual_fn):
     return grid
 
 
-def _pairs_agree(fam, n) -> bool:
-    """Closed-form and recursive structure pairs agree at index n."""
-    closed = semiclassical.structure_pair(fam, n)
-    recursive = semiclassical.structure_pair_recursive(fam, n)
-    return closed.m == recursive.m and closed.n == recursive.n
-
-
 def cmd_verify_structure(args):
     fam = _family(args)
     residuals = _residual_grid(fam, args.max_n, semiclassical.structure_residual)
-    agree = all(_pairs_agree(fam, n) for n in range(args.max_n + 1))
+    agree = all(semiclassical.structure_pair(fam, n)
+                == semiclassical.structure_pair_recursive(fam, n)
+                for n in range(args.max_n + 1))
     ok = agree and all(v == "zero" for v in residuals.values())
     return {"max_n": args.max_n, "residuals": residuals,
             "closed_form_matches_recursion": agree}, ok

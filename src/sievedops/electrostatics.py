@@ -198,12 +198,6 @@ def hessian(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
     return _derivatives(sys, _gaps(sys, x))[1]
 
 
-def is_diag_dominant(h: np.ndarray) -> bool:
-    diag = np.abs(np.diag(h))
-    off = np.sum(np.abs(h), axis=1) - diag
-    return bool(np.all(diag > off))
-
-
 def is_positive_definite(h: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(h)
@@ -247,6 +241,10 @@ def solve_equilibrium(
     step is below what comparing energies can resolve, so it is taken if
     feasible and the solve returns.  A singular H, or a d that does not
     descend, stops the solve unconverged.
+    `diag_dominant` is min(m) > 0, m_i = sum_P w_P / (x_i - P)^2 the fixed
+    charges' curvature: H is the pairs' Laplacian plus diag(m), so m_i is row
+    i's margin H_ii - sum_{j != i} |H_ij|.  For q >= 1/4 every w_P >= 0, so it
+    and the Cholesky test `hessian_pd` are theorems there (Gershgorin).
     """
     x = default_init(sys) if init is None else np.asarray(init, dtype=float).copy()
     e0, gaps = _energy_and_gaps(sys, x)
@@ -284,12 +282,14 @@ def solve_equilibrium(
             break
         x, e0 = cand, e1
         g, h = _derivatives(sys, gaps)
+    fixed_gaps = np.subtract.outer(x, sys.fixed_charges[0])
+    margin = fixed_gaps**-2.0 @ sys.column_weights[1][sys.n:]
     return EquilibriumResult(
         x_star=x,
         energy=e0,
         grad_inf_norm=float(np.abs(g).max()),
         hessian_pd=is_positive_definite(h),
-        diag_dominant=is_diag_dominant(h),
+        diag_dominant=bool(margin.min() > 0),
         iterations=len(trace),
         converged=converged,
         trace=tuple(trace),

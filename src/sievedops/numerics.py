@@ -10,9 +10,9 @@ coefficients of each p_m (Gautschi, Orthogonal Polynomials: Computation
 and Approximation, 2004).
 scaled_derivatives() carries its derivative rows as Taylor coefficients in
 2x, so a step is three array operations, every operand of the rows' shape
-(2x is tiled across the rows once); both it and gram_matrix() skip
-the product by 4 gamma_m where that is exactly 1.0, which it is on all but
-at most two slots of every block; where 4 gamma_{m-1} is an integer too,
+(2x is tiled across the rows once), and only it skips the product by
+4 gamma_m where that is exactly 1.0, which it is on all but at most two
+slots of every block; where 4 gamma_m is 1 and 4 gamma_{m-1} an integer,
 gram_matrix() takes its exact mixed-moment step by sums alone.
 Orthogonality is read off the upper triangle of one Gram matrix G = C M C^T,
 where M holds the weight's Chebyshev modified moments: exact rationals, from
@@ -206,9 +206,7 @@ def _chebyshev_rows(fam: SievedFamily, n: int) -> np.ndarray:
         c[m + 1, 1] += c[m, 0]
         c[m + 1, :-1] += c[m, 1:]
         if m:
-            # a unit 4 gamma_m, as on all but at most two slots of every
-            # block, would multiply exactly
-            c[m + 1] -= c[m - 1] if g4[m] == 1.0 else g4[m] * c[m - 1]
+            c[m + 1] -= g4[m] * c[m - 1]
     return c
 
 

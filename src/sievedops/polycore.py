@@ -38,13 +38,6 @@ from typing import Iterable, Sequence, Union
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def rat_to_str(r: Fraction) -> str:
-    """Serialize a rational as 'p/q' (plain 'p' when q == 1)."""
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
-
-
 def rat_from_str(s: str) -> Fraction:
     """Parse 'p/q' or 'p' (integers, optional sign); floats are refused."""
     text = s.strip()
@@ -182,8 +175,8 @@ class Poly:
     # -- serialization ----------------------------------------------------
 
     def to_strings(self) -> list:
-        """JSON-ready ascending coefficient list of 'p/q' strings."""
-        return [rat_to_str(c) for c in self.coeffs]
+        """JSON-ready ascending coefficient list of 'p/q' strings ('p' if q is 1)."""
+        return [str(c) for c in self.coeffs]
 
 
 _set_numerators = Poly.numerators.__set__

@@ -26,6 +26,7 @@ degrees are asked in.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from fractions import Fraction
 
@@ -127,13 +128,6 @@ def sieved_monic(fam: SievedFamily, n: int) -> Poly:
     return _monic_table(fam).grow(n)
 
 
-def shifted_factorial(a: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
-
-
 def _q_beta(fam: SievedFamily):
     """beta of the monic recurrence q_{n+1}(y) = y q_n(y) - beta_n q_{n-1}(y).
 
@@ -172,8 +166,9 @@ def monic_normalizer(fam: SievedFamily, n: int) -> Fraction:
         return Fraction(1)
     lam, s = fam.lam, fam.shift
     blk = (n - 1 + s) // fam.k
-    return shifted_factorial(2 * lam * (1 - s) + 1, blk) / (
-        Fraction(2) ** (n - 1 + s) * shifted_factorial(lam + 1, blk)
+    # shifted factorials (a)_blk = a (a + 1) ... (a + blk - 1)
+    return math.prod(2 * lam * (1 - s) + 1 + i for i in range(blk)) / (
+        Fraction(2) ** (n - 1 + s) * math.prod(lam + 1 + i for i in range(blk))
     )
 
 

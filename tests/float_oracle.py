@@ -5,10 +5,11 @@ tests that compare against numpy's polyval build the coefficients here.
 The plain loops of the recurrence evaluator and its zero residuals, of the
 Gram matrix's rows and of the Newton solver are kept here too, as the
 references the package's optimised loops must match bit for bit, and so
-are the charge model's
-energy, gradient and Hessian written term by term: the pairs, the endpoint
-charges as one term in x^2 - 1 and the interior charges.  The orthogonality
-weight is written out as a float density, for checking the exact moments.
+are the charge model's energy, gradient and Hessian written term by term:
+the pairs, the endpoint charges as one term in x^2 - 1 and the interior
+charges, and the fixed charges' curvature, each Hessian row's dominance
+margin.  The orthogonality weight is written out as a float density, for
+checking the exact moments.
 """
 
 import math
@@ -26,7 +27,6 @@ from sievedops.electrostatics import (
     NewtonStep,
     _inner_bounds,
     default_init,
-    is_diag_dominant,
     is_feasible,
     is_positive_definite,
 )
@@ -158,6 +158,20 @@ def derivatives_reference(sys, x) -> tuple:
     return g, h
 
 
+def fixed_margin_reference(sys, x) -> np.ndarray:
+    """The fixed charges' curvature m_i at each charge, term by term: the
+    endpoints as 4q(x^2 + 1) / (x^2 - 1)^2 and each interior charge on its
+    own."""
+    m = []
+    for xi in np.asarray(x, dtype=float).tolist():
+        w = xi * xi - 1.0
+        mi = 4.0 * sys.q * (xi * xi + 1.0) / (w * w)
+        for c in partition_points(sys.k)[1:-1].tolist():
+            mi += 2.0 * sys.q_tilde / ((xi - c) * (xi - c))
+        m.append(mi)
+    return np.array(m)
+
+
 def _solver_energy(sys, x) -> float:
     """electrostatics.energy on its own gap matrix, +inf off the feasible set."""
     if not is_feasible(sys, x):
@@ -224,7 +238,7 @@ def solve_equilibrium_reference(sys, init=None):
         energy=e0,
         grad_inf_norm=float(np.max(np.abs(g))),
         hessian_pd=is_positive_definite(h),
-        diag_dominant=is_diag_dominant(h),
+        diag_dominant=bool(min(fixed_margin_reference(sys, x)) > 0.0),
         iterations=len(trace),
         converged=converged,
         trace=tuple(trace),

@@ -256,17 +256,33 @@ def test_equilibrium_init_file_rejected(init, tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+# a feasible start at (k, l, q) = (4, 1, 1/4) whose Hessian is singular in
+# binary64: two charges about 4e-16 apart across the uncharged fence cos(pi/4)
+SINGULAR_START = ("[-0.9073483442348216, -0.023761603693008948, "
+                  "0.7071067811865474, 0.7071067811865478]")
+
+
 def test_equilibrium_singular_hessian_exit_1(tmp_path, capsys):
-    # a feasible start whose Hessian is singular stops the solve unconverged:
-    # a failed check, not an input error
+    # a singular Hessian stops the solve unconverged: a failed check, not an
+    # input error
     path = tmp_path / "init.json"
-    path.write_text("[-0.9073483442348216, -0.023761603693008948, "
-                    "0.7071067811865474, 0.7071067811865478]")
+    path.write_text(SINGULAR_START)
     rc = main(["equilibrium", "--k", "4", "--l", "1", "--q", "0.25",
                "--init-file", str(path)])
     out = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert not out["converged"] and out["iterations"] == 0
+
+
+def test_equilibrium_singular_start_flags(tmp_path, capsys):
+    # H there is the pairs' Laplacian plus diag(m), every margin m_i
+    # positive at q = 1/4 (58.4, 1.0, 6, 6), though its entries reach 1e31
+    path = tmp_path / "init.json"
+    path.write_text(SINGULAR_START)
+    main(["equilibrium", "--k", "4", "--l", "1", "--q", "0.25",
+          "--init-file", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert out["diag_dominant"] is True and out["hessian_pd"] is True
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 648. TiB for an array", ""])

@@ -8,6 +8,7 @@ import pytest
 from float_oracle import (
     derivatives_reference,
     energy_reference,
+    fixed_margin_reference,
     float_coeffs,
     solve_equilibrium_reference,
 )
@@ -21,7 +22,6 @@ from sievedops.electrostatics import (
     energy,
     gradient,
     hessian,
-    is_diag_dominant,
     is_feasible,
     is_positive_definite,
     partial_fraction_rhs,
@@ -146,7 +146,13 @@ def test_hessian_symmetric_diag_dominant_pd():
         x = random_feasible(SYS, rng)
         h = hessian(SYS, x)
         assert np.array_equal(h, h.T)
-        assert is_diag_dominant(h)
+        # H is the pairs' Laplacian plus diag(m): each row's dominance
+        # margin is the fixed charges' curvature m_i, positive at q >= 1/4
+        diag = np.diag(h)
+        off = np.abs(h).sum(axis=1) - np.abs(diag)
+        m = fixed_margin_reference(SYS, x)
+        assert np.all(np.abs(diag - off - m) <= 1e-13 * diag)
+        assert np.all(m > 0)
         assert is_positive_definite(h)
 
 

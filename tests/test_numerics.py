@@ -266,9 +266,9 @@ def test_gram_matrix_accurate_at_high_degree(kind, lam, k, n):
     (SECOND, F(7, 3), 6), (FIRST, F(1), 4), (SECOND, F(0), 5),
 ])
 def test_gram_matrix_matches_reference_rows(kind, lam, k, monkeypatch):
-    # the Chebyshev rows skip the product by a unit 4 gamma_m, and the exact
-    # mixed-moment rows their products by 1 (every step past the first at
-    # lam = 0, second kind); bit for bit.
+    # the exact mixed-moment rows skip their products by 1 (every step past
+    # the first at lam = 0, second kind), and the Chebyshev rows multiply by
+    # every 4 gamma_m, a unit one exactly; bit for bit.
     # For an orthogonal family G reads only the leading entry of each row
     # of C, so the moments are also perturbed, which makes every entry count
     fam = SievedFamily(kind, lam, k)
