@@ -5,7 +5,8 @@ main adds the one envelope (schema 1, the command, and kind, lambda and k
 for a family command) and writes the JSON report on stdout or --output.
 Exit codes: 0 all checks pass, 1 a check failed, 2 invalid flags or input,
 or a problem too large to fit in memory.
-No check draws random points, so identical flags give byte-identical output.
+No check draws random points, so identical flags give byte-identical output
+on stdout and on stderr.
 The emit-plot CSV holds exact values rounded once to binary64.
 """
 
@@ -296,7 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
         "orthogonality defects from exact moments", max_n=_MAX_N,
         tol={"type": _tolerance, "default": 1e-9})
     add("equilibrium", cmd_equilibrium, "solve one charge system", family=False,
-        k=_N, l=_N, q={"type": float, "required": True},
+        k=_N, l=_N,
+        q={"type": float, "required": True,
+           "help": "charge at -1 and 1; the charges 2q - 1/2 at each "
+           "cos(j pi / k) attract for q < 1/4, where no equilibrium is "
+           "guaranteed"},
         init_file={"help": "JSON array of starting positions"})
     add("verify-electrostatics", cmd_verify_electrostatics,
         "equilibrium checks over a fixed grid of 45 cells", family=False)

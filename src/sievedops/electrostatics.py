@@ -16,7 +16,6 @@ lam = 2q - 1/2, which verify_theorem checks end to end.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,12 +58,6 @@ class ChargeSystem:
             raise ValueError("k must be >= 3")
         if self.l < 1:
             raise ValueError("l must be >= 1")
-        if self.q < 0.25:
-            warnings.warn(
-                f"q={self.q} < 1/4: interior charges become attractive, "
-                "no equilibrium guarantee",
-                stacklevel=3,  # past the dataclass's generated __init__
-            )
 
     @property
     def n(self) -> int:
@@ -267,9 +260,7 @@ def solve_equilibrium(
         floor, ceiling = (x + lo) / 2, (x + hi) / 2
         for backtracks in range(MAX_BACKTRACKS + 1):
             t = 0.5**backtracks
-            # t * d is d at t = 1
-            cand = np.minimum(np.maximum(x + t * d if backtracks else x + d, floor),
-                              ceiling)
+            cand = np.minimum(np.maximum(x + t * d, floor), ceiling)
             e1, gaps = _energy_and_gaps(sys, cand)
             accepted = e1 <= e0 - ARMIJO * t * decrement or (
                 converged and e1 < math.inf

@@ -301,6 +301,25 @@ def test_equilibrium_out_of_memory_exit_2(message, monkeypatch, capsys):
     assert json.loads(captured.err) == {"schema": 1, "error": message or "MemoryError"}
 
 
+def test_stderr_is_empty_unless_exit_2():
+    # a run that exits 0 or 1 writes nothing to stderr, below q = 1/4 too;
+    # one that exits 2 writes one JSON line
+    rc, out, err = run_cli(["equilibrium", "--k", "5", "--l", "1", "--q", "0.24"])
+    assert (rc, err) == (0, "")
+    # the middle charge sits at 0, where the exact margin is 0: not strictly
+    # dominant, though H is positive definite
+    report = json.loads(out)
+    assert report["diag_dominant"] is False and report["hessian_pd"] is True
+    rc, out, err = run_cli(["equilibrium", "--k", "4", "--l", "3", "--q", "0.1"])
+    assert (rc, err) == (1, "")
+    assert json.loads(out)["converged"] is False
+    rc, out, err = run_cli(["gen-poly", "--kind", "first", "--lambda=-1/2",
+                            "--k", "3", "--n", "2"])
+    assert rc == 2 and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert "error" in json.loads(err)
+
+
 def test_equilibrium_has_no_tol_flag(capsys):
     rc = main(["equilibrium", "--k", "3", "--l", "1", "--q", "1.0",
                "--tol", "1e-11"])

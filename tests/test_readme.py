@@ -27,4 +27,4 @@ def test_readme_has_examples():
 def test_readme_example_exits_0(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv[1:]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().err == ""
