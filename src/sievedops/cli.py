@@ -4,7 +4,9 @@ Each subcommand but emit-plot returns its own report fields and a verdict.
 main adds the one envelope (schema 1, the command, and kind, lambda and k
 for a family command) and writes the JSON report on stdout or --output.
 Exit codes: 0 all checks pass, 1 a check failed, 2 invalid flags or input,
-or a problem too large to fit in memory.
+a problem too large to fit in memory, or a report value past the binary64
+range (the energy of `equilibrium` at huge q); exit 2 writes one JSON error
+line on stderr, and exits 0 and 1 write nothing there.
 No check draws random points, so identical flags give byte-identical output
 on stdout and on stderr.
 The emit-plot CSV holds exact values rounded once to binary64.

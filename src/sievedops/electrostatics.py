@@ -10,7 +10,7 @@ A trial point moves each charge at most halfway to its block bound, so a
 Newton step that overshoots a fence halves the charge's distance to it
 instead of pinning the charge there.
 The energy minimum is the zero set of the first-kind sieved polynomial with
-lam = 2q - 1/2, which verify_theorem checks end to end.
+lam = 2q - 1/2, ChargeSystem.family, which verify_theorem checks end to end.
 """
 
 from __future__ import annotations
@@ -68,8 +68,11 @@ class ChargeSystem:
         return 2.0 * self.q - 0.5
 
     @cached_property
-    def lam(self) -> Fraction:
-        return 2 * Fraction(self.q).limit_denominator(10**12) - Fraction(1, 2)
+    def family(self) -> SievedFamily:
+        """The theorem's family: first kind, lam = 2q - 1/2 with q read as
+        the nearest fraction of denominator at most 10^12."""
+        lam = 2 * Fraction(self.q).limit_denominator(10**12) - Fraction(1, 2)
+        return SievedFamily(kind=SievedKind.FIRST, lam=lam, k=self.k)
 
     @cached_property
     def fixed_charges(self) -> tuple:
@@ -192,6 +195,10 @@ def hessian(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
 
 
 def is_positive_definite(h: np.ndarray) -> bool:
+    """Cholesky succeeds on h; it can finish on an infinite entry, so a
+    non-finite h is refused first."""
+    if not np.isfinite(h).all():
+        return False
     try:
         np.linalg.cholesky(h)
         return True
@@ -214,6 +221,9 @@ def _inner_bounds(sys: ChargeSystem) -> tuple:
             np.nextafter(np.nextafter(hi, lo), lo))
 
 
+# at huge q the energy and its derivatives overflow; the report, not a numpy
+# warning, carries that outcome
+@np.errstate(over="ignore", invalid="ignore")
 def solve_equilibrium(
     sys: ChargeSystem, init: np.ndarray | None = None
 ) -> EquilibriumResult:
@@ -232,8 +242,8 @@ def solve_equilibrium(
     The solve has converged once the Newton decrement -g.d is at most
     1e-15 (1 + |E|) (Boyd and Vandenberghe, Convex Optimization, 9.5): that
     step is below what comparing energies can resolve, so it is taken if
-    feasible and the solve returns.  A singular H, or a d that does not
-    descend, stops the solve unconverged.
+    feasible and the solve returns.  A singular or non-finite H, or a d
+    that does not descend, stops the solve unconverged.
     `diag_dominant` is min(m) > 0, m_i = sum_P w_P / (x_i - P)^2 the fixed
     charges' curvature: H is the pairs' Laplacian plus diag(m), so m_i is row
     i's margin H_ii - sum_{j != i} |H_ij|.  For q >= 1/4 every w_P >= 0, so it
@@ -248,6 +258,8 @@ def solve_equilibrium(
     trace = []
     converged = False
     while not converged and len(trace) < MAX_NEWTON_STEPS:
+        if not np.isfinite(h).all():
+            break  # H overflowed, as at huge q; solve could return d = 0
         try:
             d = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
@@ -289,8 +301,7 @@ def solve_equilibrium(
 
 def theorem_zero_set(sys: ChargeSystem) -> np.ndarray:
     """Zeros of the first-kind sieved polynomial with lam = 2q - 1/2."""
-    fam = SievedFamily(kind=SievedKind.FIRST, lam=sys.lam, k=sys.k)
-    return zeros(fam, sys.n).values
+    return zeros(sys.family, sys.n).values
 
 
 def partial_fraction_rhs(sys: ChargeSystem, x: np.ndarray) -> np.ndarray:
@@ -306,14 +317,15 @@ def verify_theorem(sys: ChargeSystem, seed: int | None = None) -> dict:
     seed is unused: no check draws random points.  It is accepted so that
     callers that still pass one keep working.
     """
-    fam = SievedFamily(kind=SievedKind.FIRST, lam=sys.lam, k=sys.k)
+    fam = sys.family
     zs = zeros(fam, sys.n)
     xz = zs.values
 
     report: dict = {"k": sys.k, "l": sys.l, "q": sys.q}
 
-    # (a) gradient vanishes at the zeros
-    g = gradient(sys, xz)
+    # (a) gradient vanishes at the zeros, read off their gaps as the solver
+    # reads it: a zero outside its block is check (d)'s verdict, not an error
+    g = _derivatives(sys, _gaps(sys, xz))[0]
     report["grad_at_zeros"] = float(np.max(np.abs(g)))
     report["grad_ok"] = report["grad_at_zeros"] < 1e-9
 

@@ -209,6 +209,8 @@ def solve_equilibrium_reference(sys, init=None):
     trace = []
     converged = False
     while not converged and len(trace) < MAX_NEWTON_STEPS:
+        if not np.all(np.isfinite(h)):
+            break
         try:
             d = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:

@@ -180,8 +180,7 @@ def test_criterion_8_electrostatics():
                 break
         res2 = es.solve_equilibrium(sys_, init=pert)
         ok = ok and res2.converged and np.max(np.abs(res2.x_star - zs)) < 1e-10
-        fam = SievedFamily(FIRST, sys_.lam, k)
-        ok = ok and nm.interval_counts(nm.zeros(fam, k * l)) == [l] * k
+        ok = ok and nm.interval_counts(nm.zeros(sys_.family, k * l)) == [l] * k
     elapsed = time.time() - t0
     report(8, ok and elapsed < 120.0,
            f"45 systems: gradient, two solver starts, dominance, counts, "

@@ -313,11 +313,36 @@ def test_stderr_is_empty_unless_exit_2():
     rc, out, err = run_cli(["equilibrium", "--k", "4", "--l", "3", "--q", "0.1"])
     assert (rc, err) == (1, "")
     assert json.loads(out)["converged"] is False
-    rc, out, err = run_cli(["gen-poly", "--kind", "first", "--lambda=-1/2",
-                            "--k", "3", "--n", "2"])
-    assert rc == 2 and out == ""
-    assert err.endswith("\n") and err.count("\n") == 1
-    assert "error" in json.loads(err)
+    # at q = 1e306 the model's values overflow: a Hessian with an infinite
+    # entry stops the solve (exit 1), and an infinite energy or gradient
+    # in the report is not JSON (exit 2); numpy warns on neither
+    rc, out, err = run_cli(["equilibrium", "--k", "3", "--l", "2", "--q", "1e306"])
+    assert (rc, err) == (1, "")
+    report = json.loads(out)
+    assert report["converged"] is False and report["hessian_pd"] is False
+    rc, out, err = run_cli(["equilibrium", "--k", "5", "--l", "3", "--q", "1e200"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["converged"] is True
+    for args in (["gen-poly", "--kind", "first", "--lambda=-1/2", "--k", "3",
+                  "--n", "2"],
+                 ["equilibrium", "--k", "5", "--l", "3", "--q", "1e306"],
+                 ["equilibrium", "--k", "3", "--l", "2", "--q", "1e307"]):
+        rc, out, err = run_cli(args)
+        assert rc == 2 and out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert "error" in json.loads(err)
+
+
+def test_verify_electrostatics_reports_a_misplaced_zero(monkeypatch, capsys):
+    # the cell fails check (d) and the run exits 1, not 2 on bad input
+    from test_electrostatics import plant_misplaced_zero
+
+    plant_misplaced_zero(monkeypatch)
+    rc = main(["verify-electrostatics"])
+    captured = capsys.readouterr()
+    assert (rc, captured.err) == (1, "")
+    matrix = json.loads(captured.out)["matrix"]
+    assert [cell for cell, ok in matrix.items() if not ok] == ["q=1.0,k=3,l=2"]
 
 
 def test_equilibrium_has_no_tol_flag(capsys):

@@ -66,7 +66,7 @@ def test_charge_system_validation():
     assert ChargeSystem(k=3, l=1, q=0.1).q_tilde == -0.3
     assert SYS.n == 10
     assert SYS.q_tilde == 1.5
-    assert SYS.lam == F(3, 2)
+    assert SYS.family == SievedFamily(SievedKind.FIRST, F(3, 2), 5)
 
 
 def squeezed_init(sys_):
@@ -358,7 +358,7 @@ def test_psi_phi_mn_identity():
     from sievedops.semiclassical import pearson_data, structure_pair
 
     sys_ = ChargeSystem(k=4, l=2, q=1.0)
-    fam = SievedFamily(SievedKind.FIRST, sys_.lam, 4)
+    fam = sys_.family
     pd = pearson_data(fam)
     sp = structure_pair(fam, sys_.n)
     m_c, dm_c = float_coeffs(sp.m), float_coeffs(sp.m.derivative())
@@ -403,6 +403,50 @@ def test_verify_theorem_psi_phi_exact(monkeypatch):
     rep = verify_theorem(sys_)
     assert not rep["psi_phi_ok"] and not rep["all_ok"]
     assert rep["psi_phi_resid"] > 0.0
+
+
+def plant_misplaced_zero(monkeypatch):
+    """Move the last zero of block 0 of (q, k, l) = (1, 3, 2) to just past
+    the fence cos(2 pi / 3); every other system's zeros are left alone."""
+    import dataclasses
+
+    import sievedops.electrostatics as es
+
+    exact = es.zeros
+
+    def planted(fam, n):
+        zs = exact(fam, n)
+        if (fam, n) != (SievedFamily(SievedKind.FIRST, F(3, 2), 3), 6):
+            return zs
+        values = zs.values.copy()
+        values[1] = partition_points(3)[1] + 1e-6
+        return dataclasses.replace(zs, values=values)
+
+    monkeypatch.setattr(es, "zeros", planted)
+
+
+def test_misplaced_zero_fails_counts_instead_of_raising(monkeypatch):
+    # check (a) reads the gaps without the feasibility gate, so the report
+    # reaches check (d), which names the misplaced zero
+    plant_misplaced_zero(monkeypatch)
+    rep = verify_theorem(ChargeSystem(k=3, l=2, q=1.0))
+    assert rep["interval_counts"] == [1, 3, 2]
+    assert rep["counts_ok"] is False and rep["all_ok"] is False
+    # the solver lands on the true zeros, away from the planted one
+    assert not rep["grad_ok"] and not rep["solver_ok"] and rep["psi_phi_ok"]
+
+
+def test_non_finite_hessian_stops_the_solve_unconverged():
+    # at q = 1e306 the Hessian diagonal overflows to inf: np.linalg.solve
+    # returns d = 0 and Cholesky finishes, so both must refuse it first;
+    # pyproject.toml's filterwarnings turns a numpy warning into an error
+    res = solve_equilibrium(ChargeSystem(k=3, l=2, q=1e306))
+    assert not res.converged and res.iterations == 0
+    assert not res.hessian_pd
+    assert math.isfinite(res.energy) and math.isfinite(res.grad_inf_norm)
+    for h in (np.diag([np.inf, 1.0]), np.diag([np.nan, 1.0])):
+        assert not is_positive_definite(h)
+    assert is_positive_definite(np.eye(2))
 
 
 def test_energy_baseline_regression():
