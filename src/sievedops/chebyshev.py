@@ -7,12 +7,12 @@ coefficient residuals, never as sampled values.
 Every recurrence table of the package is a Table: a list that holds the
 step it grows by and appends one step per new entry, whatever order the
 entries are asked in; three_term_table makes the three-term ones.  t_hat
-and u_hat read two module Tables; table_cache keeps the per-family ones.
+and u_hat read two module Tables; each per-family Table sits in an
+lru_cache bounded by TABLE_CACHE_SIZE, whose hit takes no lock.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 from fractions import Fraction
 
@@ -23,14 +23,13 @@ QUARTER = Fraction(1, 4)
 ONE_MINUS_X2 = Poly([1, 0, -1])
 
 
-# bound of every per-family (or per-lambda) table cache and of pearson_data
+# bound of every per-family cache: the four tables, pearson_data and _first_block
 TABLE_CACHE_SIZE = 64
 
 # growth of every table holds this lock, since two threads appending at once
-# would misplace every later degree; it is reentrant because work done under
-# it may reach another table (a new structure-pair table starts from the
-# Pearson data, built from t_hat and u_hat)
-_GROW_LOCK = threading.RLock()
+# would misplace every later degree; it need not be reentrant, since no step
+# grows another table (a table's other inputs are made with the table)
+_GROW_LOCK = threading.Lock()
 
 
 class Table(list):
@@ -54,24 +53,6 @@ class Table(list):
                 while len(self) <= n:
                     self.append(self.step(self))
         return self[n]
-
-
-def table_cache(factory):
-    """Bounded cache of Tables: factory(key) makes the Table of key, its step
-    included, so a hit builds nothing.
-
-    A miss is filled under the growth lock, so threads that ask for a new
-    key at once all get the one table that the cache keeps.
-    """
-    cached = functools.lru_cache(maxsize=TABLE_CACHE_SIZE)(factory)
-
-    @functools.wraps(factory)
-    def table(key) -> Table:
-        with _GROW_LOCK:
-            return cached(key)
-
-    table.cache_info = cached.cache_info
-    return table
 
 
 def three_term_table(gamma, y: Poly = Poly.x()) -> Table:

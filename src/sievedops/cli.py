@@ -5,8 +5,9 @@ main adds the one envelope (schema 1, the command, and kind, lambda and k
 for a family command) and writes the JSON report on stdout or --output.
 Exit codes: 0 all checks pass, 1 a check failed, 2 invalid flags or input,
 a problem too large to fit in memory, or a report value past the binary64
-range (the energy of `equilibrium` at huge q); exit 2 writes one JSON error
-line on stderr, and exits 0 and 1 write nothing there.
+range (the energy of `equilibrium` at huge q, named in the message); exit 2,
+for a flag error too, writes one JSON error line on stderr, and exits 0 and
+1 write nothing there.  --help prints its text on stdout and exits 0.
 No check draws random points, so identical flags give byte-identical output
 on stdout and on stderr.
 The emit-plot CSV holds exact values rounded once to binary64.
@@ -273,10 +274,17 @@ def _add_command(sub, name, fn, summary, family=True,
     p.set_defaults(fn=fn, family=family)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors raise ValueError, reported by main as any input error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 # built once per process (about 4 ms); parse_args leaves the parser as it was
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sieved-ops",
         description="Sieved ultraspherical polynomials: generation, exact "
         "identity verification, and the electrostatic equilibrium model.",
@@ -318,19 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "emit-plot":  # CSV output, not a report
             return cmd_emit_plot(args)
         fields, ok = args.fn(args)
         report = {"schema": SCHEMA, "command": args.command, **fields}
         if args.family:
             report.update({"kind": args.kind, "lambda": args.lam, "k": args.k})
-        # NaN and infinity are not JSON: a report holding one raises ValueError
+        # NaN and infinity are not JSON: a top-level one is refused by name
+        bad = sorted(key for key, value in report.items()
+                     if isinstance(value, float) and not math.isfinite(value))
+        if bad:
+            raise ValueError("report values past the binary64 range: "
+                             + ", ".join(bad))
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
         _write(text + "\n", args.output)
         return 0 if ok else 1

@@ -34,10 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .chebyshev import Table, table_cache
+from .chebyshev import TABLE_CACHE_SIZE, Table
 from .recurrence import SievedFamily, gamma_flat
 
 
@@ -63,7 +64,7 @@ def _require_positive_definite(fam: SievedFamily):
         )
 
 
-@table_cache
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _gamma_table(fam: SievedFamily) -> Table:
     """The family's append-only table: entry m is gamma_m in binary64.
 

@@ -29,8 +29,9 @@ import enum
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 
-from .chebyshev import QUARTER, Table, t_hat, table_cache, three_term_table, u_hat
+from .chebyshev import QUARTER, TABLE_CACHE_SIZE, Table, t_hat, three_term_table, u_hat
 from .polycore import Poly, sum_of_products
 
 
@@ -115,7 +116,7 @@ def gamma_flat(fam: SievedFamily, m: int) -> Fraction:
     return block_coeff(fam, m // fam.k, m % fam.k)
 
 
-@table_cache
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _monic_table(fam: SievedFamily) -> Table:
     """The family's append-only table: entry m is p_m."""
     return three_term_table(lambda m: gamma_flat(fam, m))
@@ -147,7 +148,7 @@ def _q_beta(fam: SievedFamily):
     return beta
 
 
-@table_cache
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _composed_table(fam: SievedFamily) -> Table:
     """The family's append-only table: entry n is q_n(T_hat(k))."""
     return three_term_table(_q_beta(fam), t_hat(fam.k))

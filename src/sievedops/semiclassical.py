@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .chebyshev import ONE_MINUS_X2, TABLE_CACHE_SIZE, Table, t_hat, table_cache, u_hat
+from .chebyshev import ONE_MINUS_X2, TABLE_CACHE_SIZE, Table, t_hat, u_hat
 from .polycore import Poly, _canonical, poly_gcd, sum_of_products
 from .recurrence import SievedFamily, gamma_flat, sieved_monic
 
@@ -218,7 +218,7 @@ def structure_pair(fam: SievedFamily, big_n: int) -> StructurePair:
     return StructurePair(m=_at(m, d), n=_at(nn, d))
 
 
-@table_cache
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _pair_table(fam: SievedFamily) -> Table:
     """The family's append-only table for the Pearson-driven recursion.
 

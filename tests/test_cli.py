@@ -315,7 +315,7 @@ def test_stderr_is_empty_unless_exit_2():
     assert json.loads(out)["converged"] is False
     # at q = 1e306 the model's values overflow: a Hessian with an infinite
     # entry stops the solve (exit 1), and an infinite energy or gradient
-    # in the report is not JSON (exit 2); numpy warns on neither
+    # in the report is not JSON (exit 2, naming both); numpy warns on neither
     rc, out, err = run_cli(["equilibrium", "--k", "3", "--l", "2", "--q", "1e306"])
     assert (rc, err) == (1, "")
     report = json.loads(out)
@@ -323,14 +323,27 @@ def test_stderr_is_empty_unless_exit_2():
     rc, out, err = run_cli(["equilibrium", "--k", "5", "--l", "3", "--q", "1e200"])
     assert (rc, err) == (0, "")
     assert json.loads(out)["converged"] is True
-    for args in (["gen-poly", "--kind", "first", "--lambda=-1/2", "--k", "3",
-                  "--n", "2"],
-                 ["equilibrium", "--k", "5", "--l", "3", "--q", "1e306"],
-                 ["equilibrium", "--k", "3", "--l", "2", "--q", "1e307"]):
+    rc, out, err = run_cli(["zeros", "--help"])
+    assert (rc, err) == (0, "") and out.startswith("usage: sieved-ops zeros")
+    huge = "report values past the binary64 range: energy, grad_inf_norm"
+    family = ["--kind", "first", "--lambda", "3/2", "--k", "5"]
+    for args, error in (
+        (["gen-poly", "--kind", "first", "--lambda=-1/2", "--k", "3", "--n", "2"],
+         "lambda=-1/2 is a negative half-integer; the family degenerates"),
+        (["equilibrium", "--k", "5", "--l", "3", "--q", "1e306"], huge),
+        (["equilibrium", "--k", "3", "--l", "2", "--q", "1e307"], huge),
+        # a flag error is an input error like any other
+        (["gen-poly", "--kind", "third", "--lambda", "1", "--k", "3", "--n", "2"],
+         "argument --kind: invalid choice: 'third' (choose from 'first', 'second')"),
+        (["zeros", *family, "--n", "5", "--tol", "0"],
+         "argument --tol: must be finite and > 0, got 0"),
+        (["verify-ode", *family], "the following arguments are required: --max-n"),
+        ([], "the following arguments are required: command"),
+    ):
         rc, out, err = run_cli(args)
         assert rc == 2 and out == ""
         assert err.endswith("\n") and err.count("\n") == 1
-        assert "error" in json.loads(err)
+        assert json.loads(err) == {"schema": 1, "error": error}
 
 
 def test_verify_electrostatics_reports_a_misplaced_zero(monkeypatch, capsys):

@@ -2,12 +2,13 @@
 
 import math
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from exact_oracle import mapped_q
 
 from sievedops import recurrence
-from sievedops.chebyshev import t_hat, table_cache, u_hat
+from sievedops.chebyshev import TABLE_CACHE_SIZE, t_hat, u_hat
 from sievedops.numerics import float_gammas
 from sievedops.polycore import Poly
 from sievedops.recurrence import (
@@ -77,7 +78,7 @@ def test_family_key():
     spellings = [SievedFamily(FIRST, lam, 5) for lam in (F(3, 2), "3/2", 1.5)]
     assert all(fam == FAM_C10 and hash(fam) == hash(FAM_C10) for fam in spellings)
     made = []
-    tables = table_cache(lambda fam: made.append(fam) or [])
+    tables = lru_cache(maxsize=TABLE_CACHE_SIZE)(lambda fam: made.append(fam) or [])
     assert all(tables(fam) is tables(FAM_C10) for fam in spellings)
     assert len(made) == 1 and tables.cache_info().currsize == 1
     for other in (SievedFamily(SECOND, F(3, 2), 5), SievedFamily(FIRST, F(5, 2), 5),
@@ -342,8 +343,8 @@ def test_mapping_residual_zero_grid():
 def test_planted_coefficient_shows_in_mapping_residual(monkeypatch, fam, n, j, i):
     # the kernel's residual equals the one built from *, + and -, so it can
     # neither hide the planted error nor change the reported degree
-    factory = recurrence._monic_table.__wrapped__
-    monkeypatch.setattr(recurrence, "_monic_table", table_cache(factory))
+    fresh = lru_cache(maxsize=TABLE_CACHE_SIZE)(recurrence._monic_table.__wrapped__)
+    monkeypatch.setattr(recurrence, "_monic_table", fresh)
     k, s = fam.k, fam.shift
     p = sieved_monic(fam, k * n + j) + Poly([0] * i + [F(-2, 7)])
     recurrence._monic_table(fam)[k * n + j] = p
@@ -402,9 +403,10 @@ def test_composed_q_at_lambda_zero_is_t_hat():
 
 def fresh_tables(monkeypatch):
     """Empty per-family table caches, restored after the test."""
+    cache = lru_cache(maxsize=TABLE_CACHE_SIZE)
     for name in ("_monic_table", "_composed_table"):
         factory = getattr(recurrence, name).__wrapped__
-        monkeypatch.setattr(recurrence, name, table_cache(factory))
+        monkeypatch.setattr(recurrence, name, cache(factory))
 
 
 def test_sieved_monic_sweep_one_product_per_degree(monkeypatch):

@@ -1,6 +1,7 @@
 """Pearson data, structure pairs (three routes), ODE coefficients, class."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from exact_oracle import (
@@ -11,7 +12,7 @@ from exact_oracle import (
 )
 
 from sievedops import recurrence, semiclassical
-from sievedops.chebyshev import table_cache, u_hat
+from sievedops.chebyshev import TABLE_CACHE_SIZE, u_hat
 from sievedops.polycore import Poly, divmod_poly, poly_gcd
 from sievedops.recurrence import SievedFamily, SievedKind, gamma_flat, sieved_monic
 from sievedops.semiclassical import (
@@ -217,8 +218,8 @@ def test_structure_residual_negative_lambda_case():
 def test_planted_coefficient_shows_in_residuals(monkeypatch, fam, big_n, i):
     # the kernel's residual equals the one built from *, + and -, so it can
     # neither hide the planted error nor change the reported degree
-    factory = recurrence._monic_table.__wrapped__
-    monkeypatch.setattr(recurrence, "_monic_table", table_cache(factory))
+    fresh = lru_cache(maxsize=TABLE_CACHE_SIZE)(recurrence._monic_table.__wrapped__)
+    monkeypatch.setattr(recurrence, "_monic_table", fresh)
     p1 = sieved_monic(fam, big_n + 1)  # from the true p_N
     p = sieved_monic(fam, big_n) + Poly([0] * i + [F(1, 3)])
     recurrence._monic_table(fam)[big_n] = p
@@ -308,8 +309,8 @@ def test_gamma_consistency_between_modules():
 
 def fresh_pair_tables(monkeypatch):
     """An empty per-family pair-table cache, restored after the test."""
-    factory = semiclassical._pair_table.__wrapped__
-    monkeypatch.setattr(semiclassical, "_pair_table", table_cache(factory))
+    fresh = lru_cache(maxsize=TABLE_CACHE_SIZE)(semiclassical._pair_table.__wrapped__)
+    monkeypatch.setattr(semiclassical, "_pair_table", fresh)
 
 
 def test_sweep_costs_a_few_products_per_degree(monkeypatch):

@@ -2,21 +2,24 @@
 
 Every Table grows to the same entries whatever order they are asked in and
 however many threads ask, and a step that raises leaves the entries before
-it.  Every per-family cache holds TABLE_CACHE_SIZE families and rebuilds an
-evicted one equal, and threads that ask table_cache for a new key at once
-get one object.  Each table and cache is reached through its module
-attribute at call time, so a monkeypatched one is the one tested.
+it.  Every per-family cache is an lru_cache(maxsize=TABLE_CACHE_SIZE): it
+holds TABLE_CACHE_SIZE families, rebuilds an evicted one equal and answers a
+hit without the growth lock, and threads that look up and grow one new
+family at once get the serial entries.  Each table and cache is reached
+through its module attribute at call time, so a monkeypatched one is the
+one tested.
 """
 
 import sys
 import threading
-import time
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
-from sievedops import chebyshev, numerics, recurrence, semiclassical
-from sievedops.chebyshev import TABLE_CACHE_SIZE, Table, table_cache
+from sievedops import chebyshev, electrostatics, numerics, recurrence, semiclassical
+from sievedops.chebyshev import TABLE_CACHE_SIZE, Table, t_hat
+from sievedops.numerics import float_gammas
 from sievedops.recurrence import SievedFamily, composed_q, sieved_monic
 from sievedops.semiclassical import structure_pair_recursive
 
@@ -136,34 +139,11 @@ def test_cache_holds_its_bound_and_rebuilds_the_evicted_family(index):
 
 
 def test_every_per_family_cache_is_in_the_suite():
-    found = {(module, name) for module in (recurrence, semiclassical, numerics)
+    modules = (chebyshev, recurrence, semiclassical, numerics, electrostatics)
+    found = {(module, name) for module in modules
              for name, obj in vars(module).items()
              if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
     assert found == set(CACHES)
-
-
-def test_concurrent_first_lookups_share_one_object():
-    made, got, barrier = [], [], threading.Barrier(4)
-
-    def factory(key):
-        made.append(key)
-        time.sleep(0.05)  # every thread reaches the cache while this builds
-        return []
-
-    tables = table_cache(factory)
-
-    def look():
-        barrier.wait()
-        got.append(tables("new"))
-
-    threads = [threading.Thread(target=look) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-        assert not t.is_alive()
-    assert made == ["new"]
-    assert len(got) == 4 and all(table is got[0] for table in got)
 
 
 @pytest.mark.parametrize(
@@ -180,7 +160,8 @@ def test_table_hit_builds_nothing(monkeypatch, table, builder, lookup):
     # a fresh table makes its step once, when it is made; of 20 lookups of
     # one family, 19 are hits, and they build no step
     module, name = table
-    monkeypatch.setattr(module, name, table_cache(getattr(module, name).__wrapped__))
+    fresh = lru_cache(maxsize=TABLE_CACHE_SIZE)(getattr(module, name).__wrapped__)
+    monkeypatch.setattr(module, name, fresh)
     module, name = builder
     real, calls = getattr(module, name), []
     monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
@@ -188,3 +169,70 @@ def test_table_hit_builds_nothing(monkeypatch, table, builder, lookup):
     for _ in range(20):
         lookup(fam, 19)
     assert len(calls) == 1
+
+
+LOOKUPS = {
+    "sieved_monic": ((recurrence, "_monic_table"), sieved_monic),
+    "composed_q": ((recurrence, "_composed_table"), composed_q),
+    "structure_pair_recursive": ((semiclassical, "_pair_table"),
+                                 structure_pair_recursive),
+    "float_gammas": ((numerics, "_gamma_table"),
+                     lambda fam, n: float_gammas(fam, n).tolist()),
+}
+
+
+def test_warm_lookups_take_no_lock():
+    # with the growth lock held elsewhere, lookups of entries already built
+    # finish: neither a cache hit nor a grown entry waits for the lock
+    fam = FAMILIES[0]
+    looks = [lambda look=look: look(fam, 20) for _, look in LOOKUPS.values()]
+    looks.append(lambda: t_hat(20))
+    for look in looks:
+        look()
+    done = threading.Event()
+
+    def warm():
+        for look in looks:
+            look()
+        done.set()
+
+    with chebyshev._GROW_LOCK:
+        thread = threading.Thread(target=warm, daemon=True)
+        thread.start()
+        finished = done.wait(timeout=10)
+    thread.join(timeout=30)
+    assert finished
+
+
+@pytest.mark.parametrize("cache,lookup", LOOKUPS.values(), ids=LOOKUPS.keys())
+def test_threads_growing_one_new_family_get_the_serial_entries(monkeypatch, cache,
+                                                                lookup):
+    # 4 threads miss on one family at once and grow it highest first; a
+    # lost race builds a second table that the cache does not keep
+    module, name = cache
+    factory = getattr(module, name).__wrapped__
+    fam, degrees = SievedFamily("second", F(5, 11), 5), range(TOP, 0, -7)
+    serial = lru_cache(maxsize=TABLE_CACHE_SIZE)(factory)
+    monkeypatch.setattr(module, name, serial)
+    expect = [lookup(fam, n) for n in degrees]
+    got, start = [], threading.Barrier(4)
+
+    def look():
+        start.wait()
+        got.append([lookup(fam, n) for n in degrees])
+
+    fresh = lru_cache(maxsize=TABLE_CACHE_SIZE)(factory)
+    monkeypatch.setattr(module, name, fresh)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=look) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expect] * 4
+    assert fresh.cache_info().currsize == 1 and fresh(fam) == serial(fam)
