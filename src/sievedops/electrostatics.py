@@ -11,6 +11,11 @@ Newton step that overshoots a fence halves the charge's distance to it
 instead of pinning the charge there.
 The energy minimum is the zero set of the first-kind sieved polynomial with
 lam = 2q - 1/2, ChargeSystem.family, which verify_theorem checks end to end.
+Every solve starts at the zeros of T_n, the equilibrium at lam = 0 (q = 1/4),
+where the sieved polynomial is T_hat_n itself.  The start is the answer at
+q = 1/4, and at l = 1 for every q since p_k = T_hat_k for every lam; there,
+for q >= 1/4, check (c) confirms a stationary start in one step instead of
+searching.
 """
 
 from __future__ import annotations
@@ -207,10 +212,18 @@ def is_positive_definite(h: np.ndarray) -> bool:
 
 
 def default_init(sys: ChargeSystem) -> np.ndarray:
-    """l Chebyshev points mapped affinely into each open subinterval."""
-    lo, hi = sys.charge_bounds
-    nodes = np.cos((2 * np.arange(sys.l, 0, -1) - 1) * math.pi / (2 * sys.l))
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.tile(nodes, sys.k)
+    """The zeros of T_n, n = kl, ascending: cos((2i - 1) pi / (2n)) for
+    i = n, ..., 1.
+
+    At lam = 0 the first-kind sieved polynomial is T_hat_n itself, so these
+    zeros are the equilibrium at q = 1/4, and a start that does not depend
+    on q.  The fences cos(j pi / k) = cos(2jl pi / (2n)) are even multiples
+    of pi / (2n) and the zeros odd ones, so exactly l zeros lie strictly
+    inside each block.  At q = 1/4, and at l = 1 for every q (p_k = T_hat_k
+    for every lam), the start is the answer.
+    """
+    n = sys.n
+    return np.cos((2 * np.arange(n, 0, -1) - 1) * math.pi / (2 * n))
 
 
 def _inner_bounds(sys: ChargeSystem) -> tuple:
@@ -244,6 +257,10 @@ def solve_equilibrium(
     step is below what comparing energies can resolve, so it is taken if
     feasible and the solve returns.  A singular or non-finite H, or a d
     that does not descend, stops the solve unconverged.
+    The default start is default_init, the zeros of T_n: the lam = 0
+    equilibrium, and the answer at q = 1/4 and at l = 1.  There, for
+    q >= 1/4, the first step finds the decrement already below the stop and
+    the solve returns after it; below 1/4 the zeros can be a saddle of E.
     `diag_dominant` is min(m) > 0, m_i = sum_P w_P / (x_i - P)^2 the fixed
     charges' curvature: H is the pairs' Laplacian plus diag(m), so m_i is row
     i's margin H_ii - sum_{j != i} |H_ij|.  For q >= 1/4 every w_P >= 0, so it

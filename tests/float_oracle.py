@@ -9,7 +9,8 @@ are the charge model's energy, gradient and Hessian written term by term:
 the pairs, the endpoint charges as one term in x^2 - 1 and the interior
 charges, and the fixed charges' curvature, each Hessian row's dominance
 margin.  The orthogonality weight is written out as a float density, for
-checking the exact moments.
+checking the exact moments, and block_chebyshev_init gives the solver a
+start away from its answer.
 """
 
 import math
@@ -193,6 +194,15 @@ def _solver_derivatives(sys, x) -> tuple:
     h = -2.0 * inv[:, :sys.n]
     np.fill_diagonal(h, inv @ field)
     return g, h
+
+
+def block_chebyshev_init(sys) -> np.ndarray:
+    """l Chebyshev points mapped affinely into each open block, bunched at
+    the block ends: a start away from the equilibrium, for tests that need
+    the solver to search rather than start at the lam = 0 zeros."""
+    lo, hi = sys.charge_bounds
+    nodes = np.cos((2 * np.arange(sys.l, 0, -1) - 1) * math.pi / (2 * sys.l))
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.tile(nodes, sys.k)
 
 
 def solve_equilibrium_reference(sys, init=None):

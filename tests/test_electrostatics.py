@@ -6,12 +6,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from float_oracle import (
+    block_chebyshev_init,
     derivatives_reference,
     energy_reference,
     fixed_margin_reference,
     float_coeffs,
     solve_equilibrium_reference,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from sievedops.electrostatics import (
@@ -70,11 +73,11 @@ def test_charge_system_validation():
 
 
 def squeezed_init(sys_):
-    """default_init with every block's charges squeezed into its first 5 %:
-    at q = 1/4 the inert interior charges let each block's charges push the
-    first of them towards the fence on its left."""
+    """block_chebyshev_init with every block's charges squeezed into its
+    first 5 %: at q = 1/4 the inert interior charges let each block's charges
+    push the first of them towards the fence on its left."""
     lo, _ = sys_.charge_bounds
-    return lo + 0.05 * (default_init(sys_) - lo)
+    return lo + 0.05 * (block_chebyshev_init(sys_) - lo)
 
 
 def test_feasibility_checks():
@@ -286,11 +289,12 @@ def test_trial_points_stop_halfway_to_the_inner_bounds(q, k, l, monkeypatch):
 def test_solver_converges_from_a_charge_pushed_against_its_fence():
     # block 1 is cleared from its left half, so the last charge of block 0,
     # put near or on its inner upper bound, is pushed against it; the
-    # halfway clip alone keeps it inside
+    # halfway clip alone keeps it inside; the other blocks start from the
+    # per-block Chebyshev points, away from the answer
     sys_ = ChargeSystem(k=3, l=12, q=0.25)
     _, hi = _inner_bounds(sys_)
     for offset in (9e-7, 1.1e-6, 1e-13, 0.0):
-        x = default_init(sys_)
+        x = block_chebyshev_init(sys_)
         x[12:24] = np.linspace(0.0, 0.45, 12)
         x[11] = hi[11] - offset
         assert gradient(sys_, x)[11] < 0.0
@@ -471,11 +475,56 @@ def test_verify_theorem_float_model_cells(q, k, l):
 
 
 def test_solver_q_quarter_lands_on_chebyshev_zeros():
-    # q = 1/4 gives lam = 0: the equilibrium is the zero set of T_36
-    res = solve_equilibrium(ChargeSystem(k=3, l=12, q=0.25))
+    # q = 1/4 gives lam = 0: the equilibrium is the zero set of T_36, which
+    # is the default start, so the solve starts from the per-block points
+    sys_ = ChargeSystem(k=3, l=12, q=0.25)
+    res = solve_equilibrium(sys_, init=block_chebyshev_init(sys_))
     expect = np.cos((2 * np.arange(36, 0, -1) - 1) * math.pi / 72)
     assert res.converged
     assert np.max(np.abs(res.x_star - expect)) < 1e-10
+
+
+@pytest.mark.parametrize("q,k,l", [(q, k, l) for q in (0.2, 0.24) for k in (3, 5)
+                                   for l in (2, 4, 12)])
+def test_solver_below_q_quarter_lands_on_the_zeros(q, k, l):
+    # the interior charges attract below q = 1/4, so E has other stationary
+    # points; from the lam = 0 equilibrium the solve reaches the theorem's
+    sys_ = ChargeSystem(k=k, l=l, q=q)
+    res = solve_equilibrium(sys_)
+    assert res.converged
+    assert np.max(np.abs(res.x_star - theorem_zero_set(sys_))) < 1e-10
+
+
+@given(st.integers(3, 64), st.integers(1, 400))
+@example(64, 400)
+@example(3, 1)
+@settings(max_examples=60, deadline=None)
+def test_default_init_is_feasible(k, l):
+    # the zeros of T_kl are odd multiples of pi / (2kl) in angle, the fences
+    # even ones, so each block holds l of them
+    sys_ = ChargeSystem(k=k, l=l, q=1.0)
+    assert is_feasible(sys_, default_init(sys_))
+
+
+# the cells where the default start is the answer: q = 1/4, where lam = 0,
+# and l = 1, where p_k = T_hat_k for every lam
+START_IS_ANSWER_CELLS = (
+    [(0.25, k, l) for k in (3, 4, 5, 8, 16) for l in (1, 2, 5, 12, 40)]
+    + [(q, k, 1) for q in (0.01, 0.1, 0.24, 0.5, 1.0, 3.0, 17.5)
+       for k in (3, 4, 6, 10, 33, 64)]
+)
+
+
+@pytest.mark.parametrize("q,k,l", START_IS_ANSWER_CELLS)
+def test_default_init_is_the_answer_at_q_quarter_and_l_one(q, k, l):
+    sys_ = ChargeSystem(k=k, l=l, q=q)
+    assert np.max(np.abs(default_init(sys_) - theorem_zero_set(sys_))) < 1e-12
+    # for q >= 1/4 H is positive definite, so check (c) confirms the
+    # stationary start in one step; below 1/4 the zeros can be a saddle of
+    # E, where the sign of a rounding-level -g.d decides the verdict
+    if q >= 0.25:
+        res = solve_equilibrium(sys_)
+        assert res.converged and res.iterations == 1
 
 
 @pytest.mark.parametrize("q,k", [(q, k) for q in (0.25, 0.75, 1.25) for k in (3, 4, 5)])
@@ -492,17 +541,19 @@ def test_solver_from_perturbed_start_l12(q, k):
 
 
 # Newton iterations from the default start of the l = 12 float-model cells;
-# every l = 4 cell takes 7, or 6 at q = 0.25
+# the l = 4 cells take 1, 6 and 7 at q = 0.25, 0.75 and 1.25.  At q = 0.25
+# the start is the answer, and the one step confirms it
 FLOAT_MODEL_L12_ITERATIONS = {
-    (0.25, 3): 8, (0.25, 4): 8, (0.25, 5): 7,
-    (0.75, 3): 9, (0.75, 4): 9, (0.75, 5): 9,
-    (1.25, 3): 10, (1.25, 4): 10, (1.25, 5): 9,
+    (0.25, 3): 1, (0.25, 4): 1, (0.25, 5): 1,
+    (0.75, 3): 7, (0.75, 4): 7, (0.75, 5): 7,
+    (1.25, 3): 8, (1.25, 4): 8, (1.25, 5): 8,
 }
+FLOAT_MODEL_L4_ITERATIONS = {0.25: 1, 0.75: 6, 1.25: 7}
 
 
 @pytest.mark.parametrize("q,k,l", FLOAT_MODEL_CELLS)
 def test_solver_iterations_float_model_cells(q, k, l):
-    expect = (6 if q == 0.25 else 7) if l == 4 else FLOAT_MODEL_L12_ITERATIONS[(q, k)]
+    expect = FLOAT_MODEL_L4_ITERATIONS[q] if l == 4 else FLOAT_MODEL_L12_ITERATIONS[(q, k)]
     assert solve_equilibrium(ChargeSystem(k=k, l=l, q=q)).iterations == expect
 
 
@@ -534,7 +585,10 @@ def test_energy_and_derivatives_match_term_by_term_oracle(q, k, l):
 
     sys_ = ChargeSystem(k=k, l=l, q=q)
     rng = np.random.default_rng(0x5EED)
-    for x in [default_init(sys_)] + [random_feasible(sys_, rng) for _ in range(3)]:
+    # not default_init: at q = 1/4 it is the equilibrium, where g_ref, the
+    # bound's scale, is rounding noise
+    points = [block_chebyshev_init(sys_)] + [random_feasible(sys_, rng) for _ in range(3)]
+    for x in points:
         e_ref = energy_reference(sys_, x)
         assert abs(energy(sys_, x) - e_ref) <= 1e-10 * abs(e_ref)
         g_ref, h_ref = derivatives_reference(sys_, x)
